@@ -19,7 +19,7 @@ runs see identical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -55,27 +55,14 @@ class PackedSequenceBatch:
         return self.ids.shape[0]
 
     def shard(self, index: int, n_shards: int) -> "PackedSequenceBatch":
+        if n_shards < 1:
+            raise DataError(f"need at least one shard, got {n_shards}")
         if self.batch_size % n_shards != 0:
             raise DataError(f"batch size {self.batch_size} not divisible by {n_shards} shards")
         step = self.batch_size // n_shards
         sl = slice(index * step, (index + 1) * step)
-
-        def cut(a):
-            return None if a is None else a[sl]
-
-        return replace(
-            self,
-            ids=self.ids[sl],
-            loss_mask=self.loss_mask[sl],
-            example_ids=self.example_ids[sl],
-            mlm_targets=cut(self.mlm_targets),
-            sop_labels=cut(self.sop_labels),
-            type_ids=cut(self.type_ids),
-            attention_mask=cut(self.attention_mask),
-            source_ids=cut(self.source_ids),
-            source_mask=cut(self.source_mask),
-            target_out=cut(self.target_out),
-        )
+        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        return PackedSequenceBatch(**{name: None if a is None else a[sl] for name, a in parts.items()})
 
 
 @dataclass

@@ -3,14 +3,16 @@
 A step runs forward (optionally discarding per-layer activations and
 recomputing them during backward), scales the loss, checks the dynamic
 loss scaler, clips the global gradient norm and applies one Adam update at
-the scheduled learning rate.  ``data_parallel_step`` splits the batch into
-shards, normalizes every shard loss by the full-batch denominators, and
-reduces shard gradients by summation in fixed shard-index order, which
-makes the result equal to the single-replica full-batch step up to
+the scheduled learning rate.  Every step takes one path: the batch is split
+into ``n_shards`` shards, every shard loss is normalized by the full-batch
+denominators, and shard gradients are summed in fixed shard-index order.
+One shard is exactly the full-batch step; more shards equal it up to
 floating-point rounding.
 
-Metrics are emitted one line-delimited JSON record per step; engine
-checkpoints restore bit-identical continuation.
+Metrics are emitted one line-delimited JSON record per step.  An engine
+checkpoint is a model checkpoint that also carries the engine config, step
+counters, loss-scaler state and Adam moments, and restores bit-identical
+continuation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import objectives
 from . import tensor as T
 from .data import PackedSequenceBatch
-from .model import ModelConfig, ModelParams, config_from_text, config_to_text, forward, parameter_inventory
+from .model import ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
 from .optim import (
     AdamHyperparams,
     LossScaler,
@@ -36,8 +38,6 @@ from .optim import (
     lr_at,
 )
 from .tensor import DropoutRng, Tape, Tensor
-
-ENGINE_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -81,8 +81,8 @@ class TrainEngine:
     """Owns the parameters, optimizer state and step counter for one run.
 
     ``loss_fn(engine, batch, rng, normalizers)`` overrides the family
-    objective (fine-tuning heads); ``weights_fn(batch)`` must supply the
-    matching loss-component weights when sharded steps are used.
+    objective (fine-tuning heads); ``weights_fn(batch)`` must then supply
+    the matching loss-component weights.
     """
 
     def __init__(
@@ -121,21 +121,20 @@ class TrainEngine:
         self,
         batch: PackedSequenceBatch,
         rng: Optional[DropoutRng],
-        normalizers: Optional[tuple[float, ...]] = None,
+        normalizers: tuple[float, ...],
     ) -> Tensor:
         """Objective for one (sub-)batch.
 
-        ``normalizers`` replaces the per-component denominators with
-        full-batch weights so shard losses sum to the full-batch loss.
+        ``normalizers`` are the full-batch per-component denominators, so
+        shard losses sum to the full-batch loss.
         """
         cfg = self.model_cfg
         recompute = self.cfg.recompute_activations
-        norms = normalizers or (None, None)
         if self.loss_fn is not None:
             return self.loss_fn(self, batch, rng, normalizers)
         if cfg.family == "decoder-only":
             out = forward(self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute)
-            return objectives.lm_loss(out.logits, batch, norms[0])
+            return objectives.lm_loss(out.logits, batch, normalizers[0])
         if cfg.family == "encoder-only":
             out = forward(
                 self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute,
@@ -143,15 +142,15 @@ class TrainEngine:
             )
             return _combine(
                 (
-                    objectives.mlm_loss(out.logits, batch, norms[0]),
-                    objectives.sop_loss(out.sop_logits, batch, norms[1]),
+                    objectives.mlm_loss(out.logits, batch, normalizers[0]),
+                    objectives.sop_loss(out.sop_logits, batch, normalizers[1]),
                 )
             )
         out = forward(
             self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute,
             source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
         )
-        return objectives.seq2seq_loss(out.logits, batch, norms[0])
+        return objectives.seq2seq_loss(out.logits, batch, normalizers[0])
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -189,38 +188,25 @@ class TrainEngine:
     def _scaled_gradients(self, batch: PackedSequenceBatch, n_shards: int) -> tuple[dict[str, np.ndarray], float]:
         """Forward/backward only: (loss-scale times gradients, unscaled loss).
 
-        With ``n_shards > 1`` the batch is split, every shard loss is
-        normalized by the full-batch denominators, and shard gradients are
-        summed in fixed shard-index order.
+        Every shard loss is normalized by the full-batch denominators and
+        shard gradients are summed in fixed shard-index order.
         """
         scale = self.scaler.scale if self.scaler else 1.0
-        if n_shards == 1:
-            self.params.zero_grads()
-            rng = DropoutRng(self.cfg.seed, self.step, batch.example_ids)
-            with Tape() as tape:
-                loss = self._forward_loss(batch, rng)
-                scaled = T.scale(loss, scale) if self.scaler else loss
-            tape.backward(scaled)
-            return self._collect_grads(), float(loss.data)
         global_weights = self._loss_weights(batch)
-        shard_grads: list[dict[str, np.ndarray]] = []
+        combined: dict[str, np.ndarray] = {}
         loss_total = 0.0
-        for index in range(n_shards):
+        # at least one pass, so that ``shard`` rejects n_shards < 1
+        for index in range(max(n_shards, 1)):
             shard = batch.shard(index, n_shards)
             self.params.zero_grads()
             rng = DropoutRng(self.cfg.seed, self.step, shard.example_ids)
             with Tape() as tape:
-                loss = self._forward_loss(shard, rng, normalizers=global_weights)
+                loss = self._forward_loss(shard, rng, global_weights)
                 scaled = T.scale(loss, scale) if self.scaler else loss
             tape.backward(scaled)
-            shard_grads.append(self._collect_grads())
+            for name, grad in self._collect_grads().items():
+                combined[name] = combined[name] + grad if name in combined else grad
             loss_total += float(loss.data)
-        combined = {}
-        for name in self.params.names():
-            total = shard_grads[0][name]
-            for index in range(1, n_shards):
-                total = total + shard_grads[index][name]
-            combined[name] = total
         self.params.zero_grads()
         return combined, loss_total
 
@@ -231,6 +217,7 @@ class TrainEngine:
         return {name: g / scale for name, g in grads.items()}, loss
 
     def train_step(self, batch: PackedSequenceBatch) -> StepMetrics:
+        """One full-batch step (a single shard)."""
         grads, loss = self._scaled_gradients(batch, n_shards=1)
         return self._apply_update(grads, loss)
 
@@ -239,69 +226,32 @@ class TrainEngine:
         grads, loss = self._scaled_gradients(batch, n_shards)
         return self._apply_update(grads, loss)
 
-    # -- persistence -----------------------------------------------------------
-
-    def state_meta(self) -> dict:
-        return {
-            "version": ENGINE_CHECKPOINT_VERSION,
-            "model_config": config_to_text(self.model_cfg),
-            "engine": {
-                "schedule": asdict(self.cfg.schedule),
-                "adam": asdict(self.cfg.adam),
-                "max_grad_norm": self.cfg.max_grad_norm,
-                "use_loss_scaler": self.cfg.use_loss_scaler,
-                "initial_loss_scale": self.cfg.initial_loss_scale,
-                "scaler_growth_interval": self.cfg.scaler_growth_interval,
-                "recompute_activations": self.cfg.recompute_activations,
-                "seed": self.cfg.seed,
-            },
-            "step": self.step,
-            "optimizer_step": self.optimizer.step,
-            "scaler": None
-            if self.scaler is None
-            else {"scale": self.scaler.scale, "consecutive_good_steps": self.scaler.consecutive_good_steps},
-        }
-
 
 def save_engine_checkpoint(path: str, engine: TrainEngine) -> None:
-    arrays = {f"param:{n}": t.data for n, t in engine.params.items()}
-    arrays.update({f"adam_m:{n}": m for n, m in engine.optimizer.m.items()})
-    arrays.update({f"adam_v:{n}": v for n, v in engine.optimizer.v.items()})
-    arrays["meta"] = np.frombuffer(json.dumps(engine.state_meta()).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    """A model checkpoint plus engine config, step counters, scaler and Adam moments."""
+    extra = {
+        "engine": asdict(engine.cfg),
+        "step": engine.step,
+        "optimizer_step": engine.optimizer.step,
+        "scaler": None if engine.scaler is None else asdict(engine.scaler),
+    }
+    moments = {"adam_m": engine.optimizer.m, "adam_v": engine.optimizer.v}
+    save_checkpoint(path, engine.params, engine.model_cfg, extra, slots=moments)
 
 
 def load_engine_checkpoint(path: str) -> TrainEngine:
-    with np.load(path) as archive:
-        meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
-        if meta.get("version") != ENGINE_CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported engine checkpoint version {meta.get('version')!r}")
-        model_cfg = config_from_text(meta["model_config"], source=path)
-        eng = meta["engine"]
-        engine_cfg = EngineConfig(
-            schedule=TrainSchedule(**eng["schedule"]),
-            adam=AdamHyperparams(**eng["adam"]),
-            max_grad_norm=eng["max_grad_norm"],
-            use_loss_scaler=eng["use_loss_scaler"],
-            initial_loss_scale=eng["initial_loss_scale"],
-            scaler_growth_interval=eng["scaler_growth_interval"],
-            recompute_activations=eng["recompute_activations"],
-            seed=eng["seed"],
-        )
-        tensors = {}
-        for name, shape, _ in parameter_inventory(model_cfg):
-            tensors[name] = Tensor(archive[f"param:{name}"].copy(), requires_grad=True, name=name)
-        params = ModelParams(tensors)
-        engine = TrainEngine(params, model_cfg, engine_cfg)
-        engine.step = int(meta["step"])
-        engine.optimizer.step = int(meta["optimizer_step"])
-        for name in params.names():
-            engine.optimizer.m[name] = archive[f"adam_m:{name}"].copy()
-            engine.optimizer.v[name] = archive[f"adam_v:{name}"].copy()
-        if engine.scaler is not None and meta["scaler"] is not None:
-            engine.scaler.scale = float(meta["scaler"]["scale"])
-            engine.scaler.consecutive_good_steps = int(meta["scaler"]["consecutive_good_steps"])
+    params, model_cfg, extra = load_checkpoint(path, slots=("adam_m", "adam_v"))
+    saved = extra["engine"]
+    engine_cfg = EngineConfig(
+        **{**saved, "schedule": TrainSchedule(**saved["schedule"]), "adam": AdamHyperparams(**saved["adam"])}
+    )
+    engine = TrainEngine(params, model_cfg, engine_cfg)
+    engine.step = extra["step"]
+    engine.optimizer.step = extra["optimizer_step"]
+    engine.optimizer.m = extra["adam_m"]
+    engine.optimizer.v = extra["adam_v"]
+    if engine.scaler is not None:
+        engine.scaler = LossScaler(**extra["scaler"])
     return engine
 
 
@@ -316,9 +266,7 @@ def train_loop(
     history = []
     for _ in range(n_steps):
         batch = batch_fn(engine.step)
-        metrics = (
-            engine.train_step(batch) if n_shards == 1 else engine.data_parallel_step(batch, n_shards)
-        )
+        metrics = engine.data_parallel_step(batch, n_shards)
         if metrics_stream is not None:
             write_metrics(metrics_stream, metrics)
         history.append(metrics)

@@ -235,8 +235,7 @@ def finetune(
             recompute=settings.recompute_activations,
         )
         logits = _head_logits(engine.params, out.pooled)
-        norm = normalizers[0] if normalizers else None
-        return T.softmax_cross_entropy(logits, batch.sop_labels, np.ones(batch.batch_size), norm)
+        return T.softmax_cross_entropy(logits, batch.sop_labels, np.ones(batch.batch_size), normalizers[0])
 
     engine_cfg = EngineConfig(
         schedule=TrainSchedule(settings.learning_rate, 0.0, warmup_steps=0, total_steps=max(total, 1), decay_shape="linear"),

@@ -163,30 +163,13 @@ def count_params(cfg: ModelConfig) -> int:
 
 def block_param_count(cfg: ModelConfig) -> int:
     """Parameters contributed by the transformer blocks alone."""
-    per_layer = ModelConfig(
-        family=cfg.family,
-        n_layers=2 if cfg.family == "encoder-decoder" else 1,
-        d_layer=cfg.d_layer,
-        n_heads=cfg.n_heads,
-        d_head=cfg.d_head,
-        vocab_size=cfg.vocab_size,
-        max_seq_len=cfg.max_seq_len,
-        dropout_p=cfg.dropout_p,
-        tie_embeddings=cfg.tie_embeddings,
-    )
-    zero = ModelConfig(
-        family=cfg.family,
-        n_layers=0,
-        d_layer=cfg.d_layer,
-        n_heads=cfg.n_heads,
-        d_head=cfg.d_head,
-        vocab_size=cfg.vocab_size,
-        max_seq_len=cfg.max_seq_len,
-        dropout_p=cfg.dropout_p,
-        tie_embeddings=cfg.tie_embeddings,
-    )
-    step = 2 if cfg.family == "encoder-decoder" else 1
-    return (count_params(per_layer) - count_params(zero)) * (cfg.n_layers // step)
+
+    def block_size(cross: bool) -> int:
+        return sum(int(np.prod(shape)) for _, shape, _ in _block_inventory("block", cfg, cross))
+
+    if cfg.family == "encoder-decoder":
+        return (block_size(False) + block_size(True)) * (cfg.n_layers // 2)
+    return block_size(False) * cfg.n_layers
 
 
 class ModelParams:
@@ -483,41 +466,61 @@ def load_config(path: str) -> ModelConfig:
         return config_from_text(fh.read(), source=path)
 
 
-def save_config(cfg: ModelConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
+def save_checkpoint(
+    path: str,
+    params: ModelParams,
+    cfg: ModelConfig,
+    extra: Optional[dict] = None,
+    slots: Optional[dict[str, dict[str, np.ndarray]]] = None,
+) -> None:
+    """Versioned checkpoint: named parameter arrays plus the config.
 
-
-def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig, extra: Optional[dict] = None) -> None:
-    """Versioned checkpoint: named parameter arrays plus the config."""
+    ``extra`` is stored as JSON; each entry of ``slots`` is a per-parameter
+    array family (e.g. optimizer moments) stored as ``<slot>:<name>``.
+    """
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": config_to_text(cfg),
         "extra": extra or {},
     }
     arrays = {f"param:{name}": t.data for name, t in params.items()}
+    for slot, values in (slots or {}).items():
+        arrays.update({f"{slot}:{name}": a for name, a in values.items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
+def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    prefix = f"{slot}:"
+    arrays = {}
+    for key in archive.files:
+        if not key.startswith(prefix):
+            continue
+        name = key[len(prefix):]
+        arr = archive[key]
+        if name in expected and arr.shape != expected[name]:
+            raise ConfigError(f"checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
+        arrays[name] = arr.copy()
+    missing = set(expected) - set(arrays)
+    if missing:
+        raise ConfigError(f"checkpoint is missing {slot} arrays: {sorted(missing)[:5]}")
+    return arrays
+
+
+def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams, ModelConfig, dict]:
+    """Parameters, config and ``extra``; each requested slot is added to
+    ``extra`` as a name -> array dict, shape-checked against the parameters."""
     with np.load(path) as archive:
         meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')!r}")
+        if "config" not in meta:
+            raise ConfigError(f"{path}: checkpoint meta has no model config")
         cfg = config_from_text(meta["config"], source=path)
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg)}
-        tensors = {}
-        for key in archive.files:
-            if not key.startswith("param:"):
-                continue
-            name = key[len("param:"):]
-            arr = archive[key]
-            if name in expected and arr.shape != expected[name]:
-                raise ConfigError(f"checkpoint parameter {name} has shape {arr.shape}, expected {expected[name]}")
-            tensors[name] = Tensor(arr.copy(), requires_grad=True, name=name)
-        missing = set(expected) - set(tensors)
-        if missing:
-            raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
-    return ModelParams(tensors), cfg, meta["extra"]
+        arrays = _read_slot(archive, "param", expected)
+        shapes = {name: arr.shape for name, arr in arrays.items()}
+        extra = dict(meta["extra"], **{slot: _read_slot(archive, slot, shapes) for slot in slots})
+    tensors = {name: Tensor(arr, requires_grad=True, name=name) for name, arr in arrays.items()}
+    return ModelParams(tensors), cfg, extra

@@ -62,10 +62,6 @@ def sop_loss(sop_logits: Tensor, batch: PackedSequenceBatch, normalizer: float |
     return _masked_cross_entropy(sop_logits, batch.sop_labels, np.ones(batch.batch_size), normalizer)
 
 
-def encoder_pretrain_loss(logits: Tensor, sop_logits: Tensor, batch: PackedSequenceBatch) -> Tensor:
-    return T.add(mlm_loss(logits, batch), sop_loss(sop_logits, batch))
-
-
 def seq2seq_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None = None) -> Tensor:
     """Next-token loss over the target block given the full source."""
     if batch.target_out is None:

@@ -141,10 +141,6 @@ class Tape:
 _ACTIVE_TAPE: Optional[Tape] = None
 
 
-def active_tape() -> Optional[Tape]:
-    return _ACTIVE_TAPE
-
-
 @contextlib.contextmanager
 def no_recording():
     """Run forward code without recording onto any tape."""

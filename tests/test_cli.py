@@ -41,6 +41,17 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
+    for shards in ("0", "-2"):
+        rc = main([
+            "pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS),
+            "--toy", "--steps", "2", "--shards", shards, "--out", str(tmp_path / f"run{shards}"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+
+
 def test_count_params_reference_value(tmp_path, capsys):
     rc = main([
         "count-params", "--config", str(CONFIGS / "cpm-x-l.cfg"), "--out", str(tmp_path / "run"),
@@ -151,6 +162,16 @@ def test_finetune_eval_round_trip(tmp_path):
     assert rc == 0
     assert (ft_out / "finetuned.npz").exists()
     assert json.loads((ft_out / "metrics.json").read_text())["accuracy"] >= 0.0
+
+    # the engine checkpoint is a model checkpoint: fine-tuning from it is identical
+    ft_engine_out = tmp_path / "ft-engine"
+    rc = main([
+        "finetune", "--checkpoint", str(pre_out / "engine.npz"), "--vocab", str(vocab_path),
+        "--train", str(train_tsv), "--dev", str(dev_tsv), "--steps", "4",
+        "--batch-size", "8", "--out", str(ft_engine_out),
+    ])
+    assert rc == 0
+    assert (ft_engine_out / "metrics.jsonl").read_text() == (ft_out / "metrics.jsonl").read_text()
 
     ev_out = tmp_path / "ev"
     rc = main([

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -348,5 +350,15 @@ def test_batch_shard_slices_all_fields(vocab):
     second = batch.shard(1, 2)
     assert np.array_equal(np.concatenate([first.ids, second.ids]), batch.ids)
     assert np.array_equal(np.concatenate([first.sop_labels, second.sop_labels]), batch.sop_labels)
-    with pytest.raises(DataError):
-        batch.shard(0, 3)
+    for bad_shards in (3, 0, -2):
+        with pytest.raises(DataError):
+            batch.shard(0, bad_shards)
+    for whole in (batch, make_seq2seq_batch(packed, 0, 4, eod_id=vocab.eod_id)):
+        halves = (whole.shard(0, 2), whole.shard(1, 2))
+        for field in dataclasses.fields(whole):
+            value = getattr(whole, field.name)
+            parts = [getattr(half, field.name) for half in halves]
+            if value is None:
+                assert parts == [None, None], field.name
+            else:
+                assert np.array_equal(np.concatenate(parts), value), field.name

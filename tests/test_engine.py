@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from stacklm import objectives
+from stacklm import tensor as T
 from stacklm.bpe import train_bpe
 from stacklm.data import MaskingPolicy, make_lm_batch, make_mlm_batch, make_seq2seq_batch, pack_documents
 from stacklm.engine import (
@@ -13,8 +15,9 @@ from stacklm.engine import (
     save_engine_checkpoint,
     train_loop,
 )
-from stacklm.model import ModelConfig, build_model
+from stacklm.model import ConfigError, ModelConfig, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
 from stacklm.optim import AdamHyperparams, TrainSchedule
+from stacklm.tensor import DropoutRng, Tape
 
 
 def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False, scaler=True, dropout=0.1):
@@ -112,17 +115,57 @@ def test_data_parallel_matches_full_batch(family, n_shards):
         assert float(np.max(np.abs(a - b))) / denom < 1e-6, name
 
 
+def family_batches(family, batch_size=4):
+    vocab = train_bpe("aa bb cc dd ee ff gg hh " * 8, 300)
+    rng = np.random.default_rng(13)
+    docs = [list(rng.integers(5, 30, size=20)) for _ in range(8)]
+    packed = pack_documents(docs, 12, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    if family == "encoder-only":
+        return lambda k: make_mlm_batch(packed, k, batch_size, MaskingPolicy(), vocab, seed=5)
+    if family == "encoder-decoder":
+        return lambda k: make_seq2seq_batch(packed, k, batch_size, eod_id=vocab.eod_id)
+    return lambda k: make_lm_batch(packed, k, batch_size)
+
+
+def full_batch_objective(params, cfg, batch, rng):
+    """The family objective on the whole batch, with each loss's default normalizer."""
+    if cfg.family == "decoder-only":
+        out = forward(params, cfg, batch.ids, mode="train", rng=rng)
+        return objectives.lm_loss(out.logits, batch)
+    if cfg.family == "encoder-only":
+        out = forward(params, cfg, batch.ids, mode="train", rng=rng, type_ids=batch.type_ids)
+        return T.add(objectives.mlm_loss(out.logits, batch), objectives.sop_loss(out.sop_logits, batch))
+    out = forward(
+        params, cfg, batch.ids, mode="train", rng=rng,
+        source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
+    )
+    return objectives.seq2seq_loss(out.logits, batch)
+
+
 def test_single_shard_is_exactly_train_step():
-    batch_fn = lm_batches(seed=5)
+    """``n_shards=1`` equals a hand-built unsharded step bit for bit: one tape
+    over the full batch, default normalizers, then the engine's update."""
+    for family in ("decoder-only", "encoder-only", "encoder-decoder"):
+        batch_fn = family_batches(family)
+        _, params, engine = model_and_engine(family=family, seed=29)
+        history = train_loop(engine, batch_fn, n_steps=3, n_shards=1)
 
-    def run(shards):
-        _, params, engine = model_and_engine(seed=29)
-        train_loop(engine, batch_fn, n_steps=3, n_shards=shards)
-        return {n: t.data.copy() for n, t in params.items()}
+        cfg, ref_params, ref = model_and_engine(family=family, seed=29)
+        expected = []
+        for k in range(3):
+            batch = batch_fn(k)
+            ref_params.zero_grads()
+            rng = DropoutRng(ref.cfg.seed, ref.step, batch.example_ids)
+            with Tape() as tape:
+                loss = full_batch_objective(ref_params, cfg, batch, rng)
+                scaled = T.scale(loss, ref.scaler.scale)
+            tape.backward(scaled)
+            grads = {n: t.grad if t.grad is not None else np.zeros_like(t.data) for n, t in ref_params.items()}
+            expected.append(ref._apply_update(grads, float(loss.data)))
 
-    a, b = run(1), run(1)
-    for name in a:
-        assert np.array_equal(a[name], b[name])
+        assert [m.to_json() for m in history] == [m.to_json() for m in expected], family
+        for name, t in params.items():
+            assert np.array_equal(t.data, ref_params[name].data), (family, name)
 
 
 def test_non_divisible_shards_rejected():
@@ -208,3 +251,72 @@ def test_checkpoint_restores_bit_identical_continuation(tmp_path):
         assert np.array_equal(t.data, restored.params[name].data), name
     for name in engine.optimizer.m:
         assert np.array_equal(engine.optimizer.m[name], restored.optimizer.m[name])
+
+
+def test_engine_checkpoint_round_trips_non_default_config(tmp_path):
+    batch_fn = lm_batches(seed=4)
+    for use_scaler in (False, True):
+        cfg = ModelConfig("decoder-only", 2, d_layer=16, n_heads=2, d_head=8, vocab_size=31, max_seq_len=16)
+        engine_cfg = EngineConfig(
+            schedule=TrainSchedule(2e-3, 1e-5, warmup_steps=3, total_steps=50, decay_shape="linear"),
+            adam=AdamHyperparams(beta1=0.8, weight_decay=0.0),
+            max_grad_norm=0.5,
+            use_loss_scaler=use_scaler,
+            initial_loss_scale=2.0**10,
+            scaler_growth_interval=7,
+            recompute_activations=True,
+            seed=13,
+        )
+        engine = TrainEngine(build_model(cfg, seed=2), cfg, engine_cfg)
+        train_loop(engine, batch_fn, n_steps=3)
+        path = str(tmp_path / f"engine-{use_scaler}.npz")
+        save_engine_checkpoint(path, engine)
+        restored = load_engine_checkpoint(path)
+        assert restored.cfg == engine.cfg
+        assert restored.model_cfg == engine.model_cfg
+        assert (restored.step, restored.optimizer.step) == (3, 3)
+        assert restored.scaler == engine.scaler
+        if use_scaler:
+            assert restored.scaler.consecutive_good_steps == 3
+        for name in engine.params.names():
+            assert np.array_equal(restored.optimizer.v[name], engine.optimizer.v[name]), name
+
+
+def test_engine_checkpoint_is_a_model_checkpoint(tmp_path):
+    cfg, params, engine = model_and_engine(seed=43)
+    train_loop(engine, lm_batches(), n_steps=2)
+    model_path, engine_path = str(tmp_path / "model.npz"), str(tmp_path / "engine.npz")
+    save_checkpoint(model_path, params, cfg)
+    save_engine_checkpoint(engine_path, engine)
+    from_model, cfg_model, _ = load_checkpoint(model_path)
+    from_engine, cfg_engine, _ = load_checkpoint(engine_path)
+    assert cfg_engine == cfg_model == cfg
+    assert from_engine.names() == from_model.names()
+    for name, t in from_model.items():
+        assert np.array_equal(from_engine[name].data, t.data), name
+    with pytest.raises(ConfigError):
+        load_engine_checkpoint(model_path)
+
+
+def test_engine_checkpoint_rejects_seed_format_and_wrong_shapes(tmp_path):
+    cfg, params, engine = model_and_engine(seed=47)
+    path = str(tmp_path / "engine.npz")
+    save_engine_checkpoint(path, engine)
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+
+    # the previous engine format kept the config under "model_config"
+    legacy = dict(arrays)
+    meta = {"version": 1, "model_config": config_to_text(cfg), "step": 0, "optimizer_step": 0, "scaler": None}
+    legacy["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    legacy_path = str(tmp_path / "legacy.npz")
+    np.savez(legacy_path, **legacy)
+    with pytest.raises(ConfigError):
+        load_engine_checkpoint(legacy_path)
+
+    bad = dict(arrays)
+    bad["param:tok_emb"] = arrays["param:tok_emb"][:-1]
+    bad_path = str(tmp_path / "bad.npz")
+    np.savez(bad_path, **bad)
+    with pytest.raises(ConfigError):
+        load_engine_checkpoint(bad_path)

@@ -72,10 +72,11 @@ def test_zero_layer_config_is_embeddings_plus_heads():
 
 
 def test_depth_doubling_doubles_block_subtotal():
-    a = tiny("encoder-only", n_layers=3)
-    b = tiny("encoder-only", n_layers=6)
-    assert block_param_count(b) == 2 * block_param_count(a)
-    assert count_params(b) - count_params(a) == block_param_count(a)
+    for family, n_layers in (("encoder-only", 3), ("decoder-only", 3), ("encoder-decoder", 2)):
+        a = tiny(family, n_layers=n_layers)
+        b = tiny(family, n_layers=2 * n_layers)
+        assert block_param_count(b) == 2 * block_param_count(a), family
+        assert count_params(b) - count_params(a) == block_param_count(a), family
 
 
 def test_residual_projection_init_scale():
