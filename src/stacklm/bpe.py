@@ -26,11 +26,13 @@ Vocabulary file grammar (UTF-8, line oriented)::
     <name> <sentinel>          # one per special, id order
 
 Symbols are percent-escaped: bytes outside printable ASCII, ``%`` and the
-space byte are written as ``%XX``.
+space byte are written as ``%XX``.  The file ends with a newline, so a
+reader can tell a complete file from a truncated one.
 """
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -69,11 +71,18 @@ def _unescape(text: str) -> bytes:
     i = 0
     while i < len(text):
         if text[i] == "%":
-            out.append(int(text[i + 1 : i + 3], 16))
+            code = text[i + 1 : i + 3]
+            if len(code) != 2 or not all(c in string.hexdigits for c in code):
+                raise TokenizerError(f"bad escape {text[i : i + 3]!r} in symbol {text!r}")
+            out.append(int(code, 16))
             i += 3
-        else:
+        elif "!" <= text[i] <= "~":
             out.append(ord(text[i]))
             i += 1
+        else:
+            raise TokenizerError(f"unescaped character {text[i]!r} in symbol {text!r}")
+    if not out:
+        raise TokenizerError("empty symbol")
     return bytes(out)
 
 
@@ -307,32 +316,51 @@ def save_vocab(vocab: TokenizerVocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> TokenizerVocab:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a file written by ``save_vocab``.
+
+    A malformed file raises ``TokenizerError``.  ``save_vocab`` ends the
+    file with a newline, so a file cut short anywhere is rejected too.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TokenizerError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    lines = text.splitlines()
     if not lines or lines[0] != "stacklm-bpe v1":
         raise TokenizerError(f"{path} is not a stacklm-bpe v1 vocabulary file")
+    if not text.endswith("\n"):
+        raise TokenizerError(f"{path} is truncated: the last line has no newline")
     pos = 1
 
-    def header(expected: str) -> int:
+    def fields(what: str, n: int) -> list[str]:
         nonlocal pos
-        tag, count = lines[pos].split()
-        if tag != expected:
-            raise TokenizerError(f"expected {expected!r} section, found {tag!r}")
+        if pos >= len(lines):
+            raise TokenizerError(f"{path} ends early: expected {what} at line {pos + 1}")
+        parts = lines[pos].split(maxsplit=n - 1)
+        if len(parts) != n:
+            raise TokenizerError(f"{path}:{pos + 1}: expected {what}, found {lines[pos]!r}")
         pos += 1
+        return parts
+
+    def header(expected: str) -> int:
+        tag, count = fields(f"'{expected} <count>'", 2)
+        if tag != expected or not (count.isascii() and count.isdigit()):
+            raise TokenizerError(f"{path}:{pos}: expected '{expected} <count>', found {lines[pos - 1]!r}")
         return int(count)
 
     alphabet = []
     for _ in range(header("alphabet")):
-        alphabet.append(_unescape(lines[pos]))
-        pos += 1
+        (symbol,) = fields("a symbol", 1)
+        alphabet.append(_unescape(symbol))
     merges = []
     for _ in range(header("merges")):
-        left, right = lines[pos].split()
+        left, right = fields("'<left> <right>'", 2)
         merges.append((_unescape(left), _unescape(right)))
-        pos += 1
     sentinels = {}
     for _ in range(header("specials")):
-        name, sentinel = lines[pos].split(maxsplit=1)
+        name, sentinel = fields("'<name> <sentinel>'", 2)
         sentinels[name] = sentinel
-        pos += 1
+    if sorted(sentinels) != sorted(SPECIAL_NAMES):
+        raise TokenizerError(f"{path}: specials must be {', '.join(SPECIAL_NAMES)}, found {', '.join(sentinels)}")
     return TokenizerVocab(alphabet, merges, sentinels)

@@ -3,11 +3,12 @@
 A step runs forward (optionally discarding per-layer activations and
 recomputing them during backward), scales the loss, checks the dynamic
 loss scaler, clips the global gradient norm and applies one Adam update at
-the scheduled learning rate.  Every step takes one path: the batch is split
-into ``n_shards`` shards, every shard loss is normalized by the full-batch
-denominators, and shard gradients are summed in fixed shard-index order.
-One shard is exactly the full-batch step; more shards equal it up to
-floating-point rounding.
+the scheduled learning rate.  A step whose gradients are not finite is
+skipped, with or without the loss scaler.  Every step takes one path: the
+batch is split into ``n_shards`` shards, every shard loss is normalized by
+the full-batch denominators, and shard gradients are summed in fixed
+shard-index order.  One shard is exactly the full-batch step; more shards
+equal it up to floating-point rounding.
 
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
@@ -18,6 +19,7 @@ continuation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, TextIO
 
@@ -168,10 +170,11 @@ class TrainEngine:
             skipped = not ok
         if not skipped:
             grads, norm = clip_global_norm(grads, self.cfg.max_grad_norm)
-            lr = lr_at(self.cfg.schedule, self.step + 1)
+            # without a loss scaler, the norm is the only non-finite check
+            skipped = not math.isfinite(norm)
+        lr = lr_at(self.cfg.schedule, self.step + 1)
+        if not skipped:
             adam_step(self.params, grads, self.optimizer, lr)
-        else:
-            lr = lr_at(self.cfg.schedule, self.step + 1)
         metrics = StepMetrics(
             step=self.step,
             loss=loss_value,

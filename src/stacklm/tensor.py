@@ -11,6 +11,7 @@ constant mask adds).
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,8 +21,10 @@ from scipy.special import erf
 # masked score underflows to exactly 0.0 in both float32 and float64.
 MASK_VALUE = -1e9
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NumPy 2 promotion a float64
+# scalar would lift float32 activations to float64.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class ShapeError(ValueError):
@@ -403,7 +406,7 @@ def dropout(x: Tensor, p: float, rng: Optional["DropoutRng"], layer: int, slot: 
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return x
-    mask = rng.keep_mask(layer, slot, x.shape, p).astype(x.dtype)
+    mask = rng.keep_mask(layer, slot, x.shape, p).astype(x.dtype, copy=False)
 
     def backward(g):
         return (g * mask,)
@@ -411,12 +414,49 @@ def dropout(x: Tensor, p: float, rng: Optional["DropoutRng"], layer: int, slot: 
     return _record((x,), x.data * mask, backward)
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN32 = np.uint32(0x9E3779B9)  # 2**32 / golden ratio, odd: a full-period counter stride
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 output function on a Python int (a 64-bit bijection)."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _fold(key: int, *fields: int) -> int:
+    for field in fields:
+        key = _mix64(key ^ (field & _MASK64))
+    return key
+
+
+def _lowbias32(x: np.ndarray) -> np.ndarray:
+    """In-place 32-bit avalanche finalizer ("lowbias32") on a uint32 array."""
+    x ^= x >> 16
+    x *= np.uint32(0x7FEB352D)
+    x ^= x >> 15
+    x *= np.uint32(0x846CA68B)
+    x ^= x >> 16
+    return x
+
+
 class DropoutRng:
     """Counter-based dropout stream.
 
     Masks are derived per example row from ``(seed, step, example_id,
-    layer, slot)``, never from call timing, so a forward pass replayed for
-    activation recomputation, or run shard-by-shard, draws identical masks.
+    layer, slot)``, never from call timing or the row's position in the
+    batch, so a forward pass replayed for activation recomputation, or run
+    shard-by-shard, draws identical masks.
+
+    In the style of counter-based generators (Salmon et al., "Parallel
+    Random Numbers: As Easy as 1, 2, 3", SC'11): SplitMix64 folds the key
+    fields into one 32-bit key per row, element ``i`` of the row gets the
+    counter ``key + i * golden`` (mod 2**32), and the lowbias32 finalizer
+    turns counters into uniform 32-bit words.  An element is kept when its
+    word is at least ``ceil(p * 2**32)``, so all rows are drawn in one
+    vectorized pass.
     """
 
     _DOMAIN = 0x51AC  # keeps dropout draws disjoint from init/masking draws
@@ -425,15 +465,20 @@ class DropoutRng:
         self.seed = int(seed)
         self.step = int(step)
         self.example_ids = [int(e) for e in example_ids]
+        base = _fold(self._DOMAIN, self.seed, self.step)
+        self._row_keys = [_fold(base, ex) for ex in self.example_ids]
 
     def keep_mask(self, layer: int, slot: int, shape: tuple[int, ...], p: float) -> np.ndarray:
+        """Float32 inverted-dropout mask: 0 or ``1 / (1 - p)`` per element."""
         if len(shape) < 2 or shape[0] != len(self.example_ids):
             raise ShapeError(f"dropout input leading dim {shape[:1]} must match {len(self.example_ids)} example rows")
-        keep = np.empty(shape, dtype=np.float64)
-        for row, ex in enumerate(self.example_ids):
-            gen = np.random.default_rng((self._DOMAIN, self.seed, self.step, ex, layer, slot))
-            keep[row] = gen.random(shape[1:])
-        return (keep >= p) / (1.0 - p)
+        keys = np.array([_fold(k, layer, slot) >> 32 for k in self._row_keys], dtype=np.uint32)
+        counters = np.arange(math.prod(shape[1:]), dtype=np.uint32) * _GOLDEN32
+        words = _lowbias32(keys[:, None] + counters)
+        # p < 1, but ceil(p * 2**32) reaches 2**32 for p within 2**-32 of 1
+        threshold = np.uint32(min(math.ceil(p * 2.0**32), 2**32 - 1))
+        scale = np.float32(1.0 / (1.0 - p))
+        return np.multiply(words >= threshold, scale, dtype=np.float32).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stacklm import bpe
-from stacklm.bpe import TokenizerError, decode, encode, load_vocab, save_vocab, train_bpe
+from stacklm.bpe import TokenizerError, TokenizerVocab, decode, encode, load_vocab, save_vocab, train_bpe
 
 BASE = len(bpe.SPECIAL_NAMES)
 
@@ -160,3 +160,53 @@ def test_round_trip_property(text):
 
 
 _PROPERTY_VOCAB = train_bpe(string.ascii_lowercase + " .,\n" + " the and cat dog" * 5, 300)
+
+
+# A non-ASCII sentinel puts multi-byte UTF-8 characters in the file, so that
+# a cut can also land inside a character.
+_SAVED_VOCAB = TokenizerVocab(
+    _PROPERTY_VOCAB.alphabet, _PROPERTY_VOCAB.merges, {**bpe.DEFAULT_SENTINELS, "splitter": "\u27e8split\u27e9"}
+)
+
+
+def _saved_vocab_bytes(tmp_path) -> bytes:
+    path = tmp_path / "full.txt"
+    save_vocab(_SAVED_VOCAB, str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_vocab_raises_tokenizer_error(tmp_path, data):
+    raw = _saved_vocab_bytes(tmp_path)
+    path = tmp_path / "cut.txt"
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+    with pytest.raises(TokenizerError):
+        load_vocab(str(path))
+
+
+def test_every_line_boundary_truncation_is_rejected(tmp_path):
+    raw = _saved_vocab_bytes(tmp_path)
+    ends = [i + 1 for i, b in enumerate(raw) if b == ord("\n")]
+    assert ends[-1] == len(raw)
+    path = tmp_path / "cut.txt"
+    for end in ends[:-1]:
+        path.write_bytes(raw[:end])
+        with pytest.raises(TokenizerError):
+            load_vocab(str(path))
+    path.write_bytes(raw)
+    assert load_vocab(str(path)).sentinels == _SAVED_VOCAB.sentinels
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), junk=st.binary(min_size=1, max_size=4))
+def test_garbled_vocab_loads_or_raises_tokenizer_error(tmp_path, data, junk):
+    raw = _saved_vocab_bytes(tmp_path)
+    start = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    path = tmp_path / "garbled.txt"
+    path.write_bytes(raw[:start] + junk + raw[start + len(junk) :])
+    try:
+        vocab = load_vocab(str(path))
+    except TokenizerError:
+        return
+    assert sorted(vocab.sentinels) == sorted(bpe.SPECIAL_NAMES)

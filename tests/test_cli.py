@@ -52,6 +52,24 @@ def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
 
 
+def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):
+    vocab = bpe.train_bpe("some words repeat words repeat some", 60)
+    full = tmp_path / "vocab.txt"
+    bpe.save_vocab(vocab, str(full))
+    raw = full.read_bytes()
+    # mid-file at a line boundary (the parser runs out of lines) and mid-line
+    for name, length in (("lines", raw.index(b"merges")), ("cut", len(raw) - 3)):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(raw[:length])
+        rc = main([
+            "pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS),
+            "--toy", "--steps", "1", "--vocab", str(path), "--out", str(tmp_path / f"run-{name}"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+
+
 def test_count_params_reference_value(tmp_path, capsys):
     rc = main([
         "count-params", "--config", str(CONFIGS / "cpm-x-l.cfg"), "--out", str(tmp_path / "run"),

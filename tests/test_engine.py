@@ -233,6 +233,24 @@ def test_skipped_step_on_overflow_keeps_parameters():
         assert np.array_equal(t.data, before[n])
 
 
+def test_nonfinite_gradient_skips_step_without_loss_scaler():
+    for bad in (np.inf, np.nan):
+        _, params, engine = model_and_engine(scaler=False)
+        before = {n: t.data.copy() for n, t in params.items()}
+        grads = {n: np.zeros_like(t.data) for n, t in params.items()}
+        grads["tok_emb"][1, 2] = bad
+        metrics = engine._apply_update(grads, 1.0)
+        assert metrics.skipped and not np.isfinite(metrics.grad_norm)
+        assert engine.optimizer.step == 0 and engine.step == 1
+        for n, t in params.items():
+            assert np.array_equal(t.data, before[n]), n
+            assert not engine.optimizer.m[n].any() and not engine.optimizer.v[n].any(), n
+        # the run carries on: the next finite step updates as usual
+        metrics = engine.data_parallel_step(lm_batches()(engine.step), 1)
+        assert not metrics.skipped and engine.optimizer.step == 1
+        assert all(np.all(np.isfinite(t.data)) for _, t in params.items())
+
+
 def test_checkpoint_restores_bit_identical_continuation(tmp_path):
     batch_fn = lm_batches(seed=2)
     _, params, engine = model_and_engine(seed=41)

@@ -210,6 +210,25 @@ def test_recompute_forward_matches_plain():
     assert np.array_equal(plain, ckpt)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_forward_outputs_keep_parameter_dtype(family, dtype):
+    cfg = tiny(family, n_layers=2, dropout_p=0.1)
+    params = build_model(cfg, seed=4, dtype=dtype)
+    ids = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
+    pad = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
+    if family == "encoder-decoder":
+        kwargs = dict(source_ids=ids, source_attention_mask=pad)
+    else:
+        kwargs = dict(attention_mask=pad)
+    for mode in ("train", "eval"):
+        with Tape():
+            out = forward(params, cfg, ids, mode=mode, rng=DropoutRng(0, 0, [0, 1]), **kwargs)
+        assert out.logits.dtype == dtype, (mode, out.logits.dtype)
+        for extra in (out.sop_logits, out.pooled):
+            assert extra is None or extra.dtype == dtype, (mode, extra.dtype)
+
+
 def test_end_to_end_gradcheck_two_layer_model():
     cfg = ModelConfig(
         "decoder-only", 2, d_layer=4, n_heads=2, d_head=2, vocab_size=7, max_seq_len=6, dropout_p=0.0

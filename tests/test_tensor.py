@@ -416,3 +416,122 @@ def test_checkpoint_matches_plain_backward_bitwise():
     assert plain[0] == ckpt[0]
     assert np.array_equal(plain[1], ckpt[1])
     assert np.array_equal(plain[2], ckpt[2])
+
+
+# ---------------------------------------------------------------------------
+# dropout stream contract
+# ---------------------------------------------------------------------------
+
+
+def test_dropout_keep_rate_matches_one_minus_p():
+    for p in (0.1, 0.3, 0.5):
+        mask = T.DropoutRng(seed=11, step=4, example_ids=[3, 1, 4, 5]).keep_mask(2, 1, (4, 512, 512), p)
+        kept = mask > 0
+        # 1M Bernoulli(1 - p) draws: the standard error is below 5e-4
+        assert abs(kept.mean() - (1.0 - p)) < 2.5e-3
+        assert np.all(np.abs(kept.mean(axis=(1, 2)) - (1.0 - p)) < 5e-3)
+        # neighbouring elements are independent: both kept at rate (1 - p)**2
+        pairs = (kept[..., 1:] & kept[..., :-1]).mean()
+        assert abs(pairs - (1.0 - p) ** 2) < 2.5e-3
+        assert set(np.unique(mask).tolist()) == {0.0, float(np.float32(1.0 / (1.0 - p)))}
+
+
+def test_dropout_mask_ignores_row_position():
+    full = T.DropoutRng(seed=5, step=9, example_ids=[0, 1, 2, 3]).keep_mask(1, 2, (4, 3, 7), 0.4)
+    shard = T.DropoutRng(seed=5, step=9, example_ids=[2, 3]).keep_mask(1, 2, (2, 3, 7), 0.4)
+    assert np.array_equal(full[2:], shard)
+
+
+def test_dropout_mask_depends_on_every_key_field():
+    def mask(seed=1, step=2, layer=3, slot=4):
+        return T.DropoutRng(seed, step, [0, 1]).keep_mask(layer, slot, (2, 64), 0.5)
+
+    base = mask()
+    assert np.array_equal(base, mask())
+    for changed in (dict(seed=2), dict(step=3), dict(layer=4), dict(slot=5)):
+        assert not np.array_equal(base, mask(**changed)), changed
+    # rows keyed by different example ids differ too
+    assert not np.array_equal(base[0], base[1])
+
+
+def test_dropout_p_near_one_clamps_threshold():
+    for p in (1.0 - 2.0**-40, float(np.nextafter(1.0, 0.0))):
+        mask = T.DropoutRng(0, 0, [0, 1]).keep_mask(0, 0, (2, 1000), p)
+        assert mask.dtype == np.float32
+        assert np.all(np.isfinite(mask))
+        assert np.count_nonzero(mask) <= 1
+        out = T.dropout(Tensor(np.ones((2, 1000), dtype=np.float32)), p, T.DropoutRng(0, 0, [0, 1]), 0, 0)
+        assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# dtype preservation
+# ---------------------------------------------------------------------------
+
+
+class _RecordingTape(Tape):
+    """A tape that also keeps each node's output and backward closure."""
+
+    def __init__(self):
+        super().__init__()
+        self.recorded = []
+
+    def record(self, inputs, output, backward_fn):
+        super().record(inputs, output, backward_fn)
+        self.recorded.append((output, backward_fn))
+
+
+def _primitive_cases(dtype):
+    g = rng(21)
+
+    def arr(*shape):
+        return g.normal(size=shape).astype(dtype)
+
+    causal = np.where(np.tri(4, dtype=bool), 0.0, T.MASK_VALUE).astype(dtype)
+    ids = np.array([[0, 2, 1], [3, 3, 0]])
+    return {
+        "add": (lambda a, b: T.add(a, b), [arr(2, 3, 4), arr(4)]),
+        "add_mask": (lambda a: T.add(a, causal), [arr(2, 4, 4)]),
+        "mul": (lambda a, b: T.mul(a, b), [arr(2, 3), arr(2, 3)]),
+        "scale": (lambda a: T.scale(a, 0.125), [arr(2, 3)]),
+        "matmul": (lambda a, b: T.matmul(a, b), [arr(2, 3, 4), arr(4, 5)]),
+        "matmul_batched": (lambda a, b: T.matmul(a, b), [arr(2, 3, 4), arr(2, 4, 5)]),
+        "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [arr(2, 3, 4)]),
+        "reshape": (lambda a: T.reshape(a, (6, 4)), [arr(2, 3, 4)]),
+        "narrow": (lambda a: T.narrow(a, 1, 1, 2), [arr(2, 4)]),
+        "select": (lambda a: T.select(a, 0, 1), [arr(2, 3, 4)]),
+        "sum_all": (lambda a: T.sum_all(a), [arr(2, 3)]),
+        "gelu": (lambda a: T.gelu(a), [arr(2, 3)]),
+        "tanh": (lambda a: T.tanh(a), [arr(2, 3)]),
+        "softmax": (lambda a: T.softmax(a, additive_mask=causal), [arr(2, 4, 4)]),
+        "layer_norm": (lambda x, w, b: T.layer_norm(x, w, b), [arr(2, 3, 4), arr(4), arr(4)]),
+        "embedding_lookup": (lambda t: T.embedding_lookup(t, ids), [arr(4, 5)]),
+        "dropout": (lambda a: T.dropout(a, 0.3, T.DropoutRng(0, 0, [0, 1]), 0, 0), [arr(2, 3)]),
+        "softmax_cross_entropy": (
+            lambda a: T.softmax_cross_entropy(a, ids, np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])),
+            [arr(2, 3, 4)],
+        ),
+        "softmax_cross_entropy_normalized": (
+            lambda a: T.softmax_cross_entropy(a, ids, normalizer=12.0),
+            [arr(2, 3, 4)],
+        ),
+        "checkpoint": (lambda a, w: T.checkpoint(lambda h: T.gelu(T.matmul(h, w)), a), [arr(2, 3), arr(3, 3)]),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("prim", sorted(_primitive_cases(np.float64)))
+def test_primitive_preserves_dtype_forward_and_backward(prim, dtype):
+    fn, arrays = _primitive_cases(dtype)[prim]
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with _RecordingTape() as tape:
+        out = fn(*inputs)
+    assert out.dtype == dtype, f"{prim} forward returned {out.dtype}"
+    assert tape.recorded, f"{prim} recorded nothing"
+    # call every backward closure directly: Tape.backward casts what it
+    # accumulates, which would hide a closure that returns another dtype
+    for node_out, backward_fn in tape.recorded:
+        assert node_out.dtype == dtype
+        for grad in backward_fn(np.ones_like(node_out.data)):
+            if grad is not None:
+                assert grad.dtype == dtype, f"{prim} backward returned {grad.dtype}"
