@@ -86,6 +86,20 @@ def _unescape(text: str) -> bytes:
     return bytes(out)
 
 
+def _merge_pair(symbols: Sequence[bytes], left: bytes, right: bytes) -> list[bytes]:
+    """Join every adjacent ``(left, right)`` in ``symbols``, scanning left to right."""
+    merged: list[bytes] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
+            merged.append(left + right)
+            i += 2
+        else:
+            merged.append(symbols[i])
+            i += 1
+    return merged
+
+
 @dataclass
 class TokenizerVocab:
     """Ordered BPE vocabulary: specials, then base symbols, then merges."""
@@ -148,17 +162,7 @@ class TokenizerVocab:
                     best_rank = rank
             if best_rank is None:
                 break
-            left, right = self.merges[best_rank]
-            merged: list[bytes] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                    merged.append(left + right)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
+            symbols = _merge_pair(symbols, *self.merges[best_rank])
         return symbols
 
     def _encode_segment(self, segment: bytes) -> tuple[int, ...]:
@@ -247,21 +251,10 @@ def train_bpe(
         merges.append(best_pair)
         produced.add(best_pair[0] + best_pair[1])
         left, right = best_pair
-        joined = left + right
         updated: dict[tuple[bytes, ...], int] = {}
         for symbols, count in words.items():
             if left in symbols and right in symbols:
-                out: list[bytes] = []
-                i = 0
-                n = len(symbols)
-                while i < n:
-                    if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-                        out.append(joined)
-                        i += 2
-                    else:
-                        out.append(symbols[i])
-                        i += 1
-                symbols = tuple(out)
+                symbols = tuple(_merge_pair(symbols, left, right))
             updated[symbols] = updated.get(symbols, 0) + count
         words = updated
 

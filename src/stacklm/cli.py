@@ -167,6 +167,9 @@ def _pretrain_schedule(family: str, steps: int, toy: bool) -> TrainSchedule:
 
 
 def cmd_pretrain(args) -> int:
+    for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     run = RunDirectory("pretrain", args.out)
     run.record_input("config", args.config)
     run.record_input("corpus", args.corpus)
@@ -298,6 +301,8 @@ def cmd_sweep(args) -> int:
         cfg = _apply_toy_profile(cfg)
     depths = [int(d) for d in args.depths.split(",")]
     if args.train:
+        if not (args.dev and args.vocab):
+            raise ValueError("--train needs --dev and --vocab")
         run.record_input("train", args.train)
         run.record_input("dev", args.dev)
         train_set = load_tsv_dataset(args.train, "train")
@@ -406,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--train", required=True, help="TSV with text_a, text_b, label")
     p.add_argument("--dev", help="optional dev TSV, evaluated after training")
-    p.add_argument("--head", choices=["pair-classifier", "single-classifier"], default="pair-classifier")
+    p.add_argument(
+        "--head", choices=["pair-classifier", "single-classifier"], default="pair-classifier",
+        help="both run the same classifier head; single-classifier only stops requiring text_b",
+    )
     p.add_argument("--lr", type=float, default=2e-5)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--steps", type=int, help="hard step budget (overrides epochs)")

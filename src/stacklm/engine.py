@@ -72,13 +72,6 @@ def write_metrics(stream: TextIO, metrics: StepMetrics) -> None:
     stream.flush()
 
 
-def _combine(components: tuple[Tensor, ...]) -> Tensor:
-    total = components[0]
-    for part in components[1:]:
-        total = T.add(total, part)
-    return total
-
-
 class TrainEngine:
     """Owns the parameters, optimizer state and step counter for one run.
 
@@ -130,29 +123,20 @@ class TrainEngine:
         ``normalizers`` are the full-batch per-component denominators, so
         shard losses sum to the full-batch loss.
         """
-        cfg = self.model_cfg
-        recompute = self.cfg.recompute_activations
         if self.loss_fn is not None:
             return self.loss_fn(self, batch, rng, normalizers)
-        if cfg.family == "decoder-only":
-            out = forward(self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute)
-            return objectives.lm_loss(out.logits, batch, normalizers[0])
-        if cfg.family == "encoder-only":
-            out = forward(
-                self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute,
-                type_ids=batch.type_ids,
-            )
-            return _combine(
-                (
-                    objectives.mlm_loss(out.logits, batch, normalizers[0]),
-                    objectives.sop_loss(out.sop_logits, batch, normalizers[1]),
-                )
-            )
         out = forward(
-            self.params, cfg, batch.ids, mode="train", rng=rng, recompute=recompute,
+            self.params, self.model_cfg, batch.ids, mode="train", rng=rng,
+            recompute=self.cfg.recompute_activations,
+            type_ids=batch.type_ids, attention_mask=batch.attention_mask,
             source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
         )
-        return objectives.seq2seq_loss(out.logits, batch, normalizers[0])
+        if self.model_cfg.family == "decoder-only":
+            return objectives.lm_loss(out.logits, batch, normalizers[0])
+        if self.model_cfg.family == "encoder-decoder":
+            return objectives.seq2seq_loss(out.logits, batch, normalizers[0])
+        mlm = objectives.mlm_loss(out.logits, batch, normalizers[0])
+        return T.add(mlm, objectives.sop_loss(out.sop_logits, batch, normalizers[1]))
 
     # -- gradient plumbing ---------------------------------------------------
 

@@ -197,6 +197,9 @@ def finetune(
 ) -> FinetunedModel:
     """Append a zero-initialized classification head and train the stack.
 
+    ``single-classifier`` runs the same head as ``pair-classifier``; it only
+    stops requiring ``text_b`` on every example.
+
     Deterministic given ``settings.seed``: batch order, dropout streams and
     the optimizer trajectory depend only on (dataset, settings).
     """
@@ -206,6 +209,8 @@ def finetune(
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
     if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
         raise InputError("pair-classifier needs text_b on every example")
+    if settings.batch_size < 1:
+        raise InputError(f"batch size must be at least 1, got {settings.batch_size}")
     n_classes = len(dataset.label_vocab)
     d = cfg.d_layer
     tensors = dict(params.tensors)

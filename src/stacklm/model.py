@@ -3,10 +3,18 @@
 Three families share the same pre-layer-norm block: a decoder-only stack
 with causal self-attention, an encoder-only stack with a masked-token head,
 a pooler and a two-way segment-order head, and an encoder-decoder stack
-whose decoder blocks add cross-attention.  ``parameter_inventory`` is the
-single source of truth for parameter names and shapes; ``build_model``
-instantiates exactly that inventory and ``count_params`` sums it, so the
-analytic count always equals the instantiated element count.
+whose decoder blocks add cross-attention.  All three take one code path.
+Self- and cross-attention differ only in their projections (a fused
+``w_qkv`` against separate ``w_q``/``w_k``/``w_v``) and share one attention
+core.  Every stack (the single stack, the encoder and the decoder) is
+embedding, blocks and a final layer norm.  ``forward`` has one body and one
+output head; the encoder-only family adds its masked-token transform before
+that head and the pooler and segment-order head beside it.
+
+``parameter_inventory`` is the single source of truth for parameter names
+and shapes; ``build_model`` instantiates exactly that inventory and
+``count_params`` sums it, so the analytic count always equals the
+instantiated element count.
 
 Initialization: weights are drawn from Normal(0, 0.02); the projections
 feeding a residual connection (attention output, second MLP matrix,
@@ -240,84 +248,73 @@ def _pad_mask(attention_mask: Optional[np.ndarray], dtype) -> Optional[np.ndarra
     return ((1.0 - keep) * T.MASK_VALUE)[:, None, None, :]
 
 
-def _split_heads(x: Tensor, n_heads: int, d_head: int) -> Tensor:
+def _linear(x: Tensor, p: ModelParams, prefix: str, suffix: str = "") -> Tensor:
+    return T.add(T.matmul(x, p[f"{prefix}.w{suffix}"]), p[f"{prefix}.b{suffix}"])
+
+
+def _norm(x: Tensor, p: ModelParams, prefix: str) -> Tensor:
+    return T.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"], LAYER_NORM_EPS)
+
+
+def _split_heads(x: Tensor, cfg: ModelConfig) -> Tensor:
     b, t, _ = x.shape
-    return T.transpose(T.reshape(x, (b, t, n_heads, d_head)), (0, 2, 1, 3))
+    return T.transpose(T.reshape(x, (b, t, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
 
 
-def _join_heads(x: Tensor) -> Tensor:
-    b, h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
-
-def _self_attention(x, p, prefix, cfg, mask, rng, layer):
-    qkv = T.add(T.matmul(x, p[f"{prefix}.attn.w_qkv"]), p[f"{prefix}.attn.b_qkv"])
-    da = cfg.d_attn
-    q = _split_heads(T.narrow(qkv, 2, 0, da), cfg.n_heads, cfg.d_head)
-    k = _split_heads(T.narrow(qkv, 2, da, da), cfg.n_heads, cfg.d_head)
-    v = _split_heads(T.narrow(qkv, 2, 2 * da, da), cfg.n_heads, cfg.d_head)
+def _attention(q, k, v, p, prefix, cfg, mask, rng, layer, slot):
+    """Scaled dot-product attention over split heads, joined and projected by
+    ``{prefix}.w_out``.  Dropout draws ``slot`` on the attention
+    probabilities and ``slot + 1`` on the projected output."""
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(cfg.d_head))
-    probs = T.dropout(T.softmax(scores, additive_mask=mask), cfg.dropout_p, rng, layer, 0)
-    ctx = _join_heads(T.matmul(probs, v))
-    out = T.add(T.matmul(ctx, p[f"{prefix}.attn.w_out"]), p[f"{prefix}.attn.b_out"])
-    return T.dropout(out, cfg.dropout_p, rng, layer, 1)
-
-
-def _cross_attention(x, enc_out, p, prefix, cfg, mask, rng, layer):
-    q = _split_heads(T.add(T.matmul(x, p[f"{prefix}.cross.w_q"]), p[f"{prefix}.cross.b_q"]), cfg.n_heads, cfg.d_head)
-    k = _split_heads(T.add(T.matmul(enc_out, p[f"{prefix}.cross.w_k"]), p[f"{prefix}.cross.b_k"]), cfg.n_heads, cfg.d_head)
-    v = _split_heads(T.add(T.matmul(enc_out, p[f"{prefix}.cross.w_v"]), p[f"{prefix}.cross.b_v"]), cfg.n_heads, cfg.d_head)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(cfg.d_head))
-    probs = T.dropout(T.softmax(scores, additive_mask=mask), cfg.dropout_p, rng, layer, 3)
-    ctx = _join_heads(T.matmul(probs, v))
-    out = T.add(T.matmul(ctx, p[f"{prefix}.cross.w_out"]), p[f"{prefix}.cross.b_out"])
-    return T.dropout(out, cfg.dropout_p, rng, layer, 4)
-
-
-def _mlp(x, p, prefix, cfg, rng, layer):
-    h = T.gelu(T.add(T.matmul(x, p[f"{prefix}.mlp.w_fc"]), p[f"{prefix}.mlp.b_fc"]))
-    h = T.add(T.matmul(h, p[f"{prefix}.mlp.w_proj"]), p[f"{prefix}.mlp.b_proj"])
-    return T.dropout(h, cfg.dropout_p, rng, layer, 2)
+    probs = T.dropout(T.softmax(scores, additive_mask=mask), cfg.dropout_p, rng, layer, slot)
+    ctx = T.matmul(probs, v)
+    b, h, t, dh = ctx.shape
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, h * dh))
+    return T.dropout(_linear(ctx, p, prefix, "_out"), cfg.dropout_p, rng, layer, slot + 1)
 
 
 def _block(x, p, prefix, cfg, mask, rng, layer, enc_out=None, enc_mask=None):
-    h = T.layer_norm(x, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
-    x = T.add(x, _self_attention(h, p, prefix, cfg, mask, rng, layer))
+    """Self-attention, cross-attention to ``enc_out`` when given, then the
+    MLP, each on a layer-normed input and added to the residual stream.
+    Dropout slots: 0-1 self-attention, 2 MLP, 3-4 cross-attention."""
+    da = cfg.d_attn
+    qkv = _linear(_norm(x, p, f"{prefix}.ln1"), p, f"{prefix}.attn", "_qkv")
+    q, k, v = (_split_heads(T.narrow(qkv, 2, i * da, da), cfg) for i in range(3))
+    x = T.add(x, _attention(q, k, v, p, f"{prefix}.attn", cfg, mask, rng, layer, 0))
     if enc_out is not None:
-        h = T.layer_norm(x, p[f"{prefix}.ln_cross.gain"], p[f"{prefix}.ln_cross.bias"], LAYER_NORM_EPS)
-        x = T.add(x, _cross_attention(h, enc_out, p, prefix, cfg, enc_mask, rng, layer))
-    h = T.layer_norm(x, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)
-    return T.add(x, _mlp(h, p, prefix, cfg, rng, layer))
+        h = _norm(x, p, f"{prefix}.ln_cross")
+        q, k, v = (
+            _split_heads(_linear(src, p, f"{prefix}.cross", f"_{name}"), cfg)
+            for src, name in ((h, "q"), (enc_out, "k"), (enc_out, "v"))
+        )
+        x = T.add(x, _attention(q, k, v, p, f"{prefix}.cross", cfg, enc_mask, rng, layer, 3))
+    h = T.gelu(_linear(_norm(x, p, f"{prefix}.ln2"), p, f"{prefix}.mlp", "_fc"))
+    return T.add(x, T.dropout(_linear(h, p, f"{prefix}.mlp", "_proj"), cfg.dropout_p, rng, layer, 2))
 
 
-def _run_stack(x, p, cfg, prefixes, mask, rng, layer_offset, recompute, enc_out=None, enc_mask=None):
-    # enc_out is captured by the block closure (not passed as a checkpoint
-    # input) so its gradient accumulates in the same order with and without
-    # recomputation.
-    for i, prefix in enumerate(prefixes):
-        layer = layer_offset + i
+def _stack(
+    p, cfg, ids, type_ids, prefix, layers, final, mask, rng, recompute, embed_layer, enc_out=None, enc_mask=None
+):
+    """Embed ``ids``, run blocks ``{prefix}0, {prefix}1, ...`` (dropout layer
+    indices ``layers``; the embedding draws ``embed_layer``) and apply the
+    layer norm ``final``.
 
-        def fn(h, prefix=prefix, layer=layer):
-            return _block(h, p, prefix, cfg, mask, rng, layer, enc_out=enc_out, enc_mask=enc_mask)
+    ``enc_out`` is captured by the block closure (not passed as a checkpoint
+    input) so its gradient accumulates in the same order with and without
+    recomputation.
+    """
+    x = T.add(T.embedding_lookup(p["tok_emb"], ids), T.embedding_lookup(p["pos_emb"], np.arange(ids.shape[1])))
+    if cfg.family == "encoder-only":
+        x = T.add(x, T.embedding_lookup(p["type_emb"], np.zeros_like(ids) if type_ids is None else type_ids))
+        x = _norm(x, p, "emb_ln")
+    x = T.dropout(x, cfg.dropout_p, rng, embed_layer, 0)
+    for i, layer in enumerate(layers):
+
+        def fn(h, name=f"{prefix}{i}", layer=layer):
+            return _block(h, p, name, cfg, mask, rng, layer, enc_out, enc_mask)
 
         x = T.checkpoint(fn, x) if recompute else fn(x)
-    return x
-
-
-def _embed(p, cfg, ids, type_ids, rng, layer):
-    b, t = ids.shape
-    x = T.add(T.embedding_lookup(p["tok_emb"], ids), T.embedding_lookup(p["pos_emb"], np.arange(t)))
-    if cfg.family == "encoder-only":
-        if type_ids is None:
-            type_ids = np.zeros_like(ids)
-        x = T.add(x, T.embedding_lookup(p["type_emb"], type_ids))
-        x = T.layer_norm(x, p["emb_ln.gain"], p["emb_ln.bias"], LAYER_NORM_EPS)
-    return T.dropout(x, cfg.dropout_p, rng, layer, 0)
-
-
-def _output_head(x, p, cfg):
-    head = T.transpose(p["tok_emb"], (1, 0)) if cfg.tie_embeddings else p["lm_head"]
-    return T.matmul(x, head)
+    return _norm(x, p, final)
 
 
 def forward(
@@ -336,80 +333,59 @@ def forward(
     """Run the stack for one batch of token ids.
 
     ``ids`` is (batch, seq) or (seq,); for encoder-decoder models it is the
-    decoder input and ``source_ids`` feeds the encoder.  ``mode`` is
-    ``train`` (dropout active, requires ``rng`` when dropout_p > 0) or
-    ``eval``.  ``attention_mask`` marks real positions with 1 (padding 0).
+    decoder input and ``source_ids`` feeds the encoder.  ``type_ids`` and
+    ``attention_mask`` have the shape of ``ids``, ``source_attention_mask``
+    that of ``source_ids``; a mask marks real positions with 1 (padding 0).
+    Only the encoder-only family embeds ``type_ids``, and only the
+    encoder-decoder family encodes a source.  ``mode`` is ``train``
+    (dropout active, requires ``rng`` when dropout_p > 0) or ``eval``.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
-    ids = np.asarray(ids)
-    squeeze = ids.ndim == 1
-    if squeeze:
-        ids = ids[None, :]
-        if type_ids is not None:
-            type_ids = np.asarray(type_ids)[None, :]
-    if ids.shape[1] > cfg.max_seq_len:
-        raise InputError(f"sequence length {ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
+    if cfg.family == "encoder-decoder" and source_ids is None:
+        raise InputError("encoder-decoder forward needs source_ids")
+    squeeze = np.ndim(ids) == 1
+    ids, source_ids, type_ids, attention_mask, source_attention_mask = (
+        None if a is None else np.asarray(a)[None] if squeeze else np.asarray(a)
+        for a in (ids, source_ids, type_ids, attention_mask, source_attention_mask)
+    )
+    for what, a in (("sequence", ids), ("source", source_ids)):
+        if a is not None and a.shape[1] > cfg.max_seq_len:
+            raise InputError(f"{what} length {a.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
     if mode == "eval":
         rng = None
     elif cfg.dropout_p > 0.0 and rng is None:
         raise InputError("training mode with dropout needs a DropoutRng")
     dtype = params["tok_emb"].dtype
 
+    enc_out = enc_mask = None
+    prefix, layers, embed_layer = "block", range(cfg.n_layers), cfg.n_layers
     if cfg.family == "encoder-decoder":
-        if source_ids is None:
-            raise InputError("encoder-decoder forward needs source_ids")
-        source_ids = np.asarray(source_ids)
-        if squeeze:
-            source_ids = source_ids[None, :]
-        if source_ids.shape[1] > cfg.max_seq_len:
-            raise InputError(f"source length {source_ids.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
         half = cfg.n_layers // 2
-        src_mask = _pad_mask(source_attention_mask, dtype)
-        enc = _embed(params, cfg, source_ids, None, rng, cfg.n_layers)
-        enc = _run_stack(enc, params, cfg, [f"enc{i}" for i in range(half)], src_mask, rng, 0, recompute)
-        enc = T.layer_norm(enc, params["enc_final.gain"], params["enc_final.bias"], LAYER_NORM_EPS)
-        causal = _causal_mask(ids.shape[1], dtype)
-        # decoder attends every encoder position; pad masking reuses the source mask
-        cross_mask = src_mask
-        dec = _embed(params, cfg, ids, None, rng, cfg.n_layers + 1)
-        dec = _run_stack(
-            dec, params, cfg, [f"dec{i}" for i in range(half)], causal, rng, half, recompute,
-            enc_out=enc, enc_mask=cross_mask,
+        enc_mask = _pad_mask(source_attention_mask, dtype)
+        enc_out = _stack(
+            params, cfg, source_ids, None, "enc", range(half), "enc_final", enc_mask, rng, recompute, embed_layer
         )
-        dec = T.layer_norm(dec, params["final.gain"], params["final.bias"], LAYER_NORM_EPS)
-        logits = _output_head(dec, params, cfg)
-        if squeeze:
-            logits = T.reshape(logits, logits.shape[1:])
-        return ModelOutput(logits=logits)
-
-    causal = cfg.family == "decoder-only"
-    mask = _causal_mask(ids.shape[1], dtype) if causal else None
+        prefix, layers, embed_layer = "dec", range(half, cfg.n_layers), cfg.n_layers + 1
+    mask = None if cfg.family == "encoder-only" else _causal_mask(ids.shape[1], dtype)
     pad = _pad_mask(attention_mask, dtype)
     if pad is not None:
         mask = pad if mask is None else mask + pad
-    x = _embed(params, cfg, ids, type_ids, rng, cfg.n_layers)
-    x = _run_stack(x, params, cfg, [f"block{i}" for i in range(cfg.n_layers)], mask, rng, 0, recompute)
-    x = T.layer_norm(x, params["final.gain"], params["final.bias"], LAYER_NORM_EPS)
-
-    if cfg.family == "decoder-only":
-        logits = _output_head(x, params, cfg)
-        if squeeze:
-            logits = T.reshape(logits, logits.shape[1:])
-        return ModelOutput(logits=logits)
-
-    h = T.layer_norm(
-        T.gelu(T.add(T.matmul(x, params["mlm.w_transform"]), params["mlm.b_transform"])),
-        params["mlm.ln.gain"],
-        params["mlm.ln.bias"],
-        LAYER_NORM_EPS,
+    x = _stack(
+        params, cfg, ids, type_ids, prefix, layers, "final", mask, rng, recompute, embed_layer, enc_out, enc_mask
     )
-    logits = T.add(_output_head(h, params, cfg), params["mlm.bias"])
-    pooled = T.tanh(T.add(T.matmul(T.select(x, 0, 1), params["pooler.w"]), params["pooler.b"]))
-    sop_logits = T.add(T.matmul(pooled, params["sop.w"]), params["sop.b"])
+
+    h, sop_logits, pooled = x, None, None
+    if cfg.family == "encoder-only":
+        h = _norm(T.gelu(_linear(x, params, "mlm", "_transform")), params, "mlm.ln")
+    logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["lm_head"])
+    if cfg.family == "encoder-only":
+        logits = T.add(logits, params["mlm.bias"])
+        pooled = T.tanh(_linear(T.select(x, 0, 1), params, "pooler"))
+        sop_logits = _linear(pooled, params, "sop")
     if squeeze:
         logits = T.reshape(logits, logits.shape[1:])
-    return ModelOutput(logits=logits, sop_logits=sop_logits, pooled=pooled)
+    return ModelOutput(logits, sop_logits, pooled)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Same storage, cut off from any recorded history."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -9,6 +9,7 @@ import pytest
 
 from stacklm.cli import main
 from stacklm.evaluation import make_synthetic_pair_task, save_tsv_dataset
+from stacklm.model import ModelConfig, build_model, save_checkpoint
 from stacklm import bpe
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,6 +51,31 @@ def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+
+
+def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys):
+    vocab = bpe.train_bpe("some words repeat words repeat some", 60)
+    vocab_path = tmp_path / "vocab.txt"
+    bpe.save_vocab(vocab, str(vocab_path))
+    cfg = ModelConfig("encoder-only", 1, d_layer=16, n_heads=2, d_head=8, vocab_size=vocab.size, max_seq_len=32)
+    save_checkpoint(str(tmp_path / "model.npz"), build_model(cfg, seed=0), cfg)
+    tsv = tmp_path / "train.tsv"
+    save_tsv_dataset(make_synthetic_pair_task(8, seed=0), str(tsv))
+    pretrain = ["pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS), "--toy"]
+    cases = [
+        pretrain + ["--steps", "0"],
+        pretrain + ["--steps", "-3"],
+        pretrain + ["--steps", "1", "--batch-size", "0"],
+        ["finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path),
+         "--train", str(tsv), "--batch-size", "0"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
+         "--train", str(tsv), "--dev", str(tsv)],
+    ]
+    for i, argv in enumerate(cases):
+        rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
+        assert rc == 1, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
 
 
 def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):

@@ -179,6 +179,23 @@ def test_overlong_sequence_rejected():
         forward(params, cfg, np.zeros((1, cfg.max_seq_len + 1), dtype=int))
 
 
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_one_dimensional_call_matches_batched_row(family):
+    cfg = tiny(family, n_layers=2, dropout_p=0.0)
+    params = build_model(cfg, seed=6)
+    ids, keep = np.array([3, 1, 4, 1, 5]), np.array([1, 1, 1, 1, 0])
+    kwargs = dict(
+        type_ids=np.array([0, 0, 1, 1, 1]), attention_mask=keep,
+        source_ids=np.array([9, 2, 6, 5, 3]), source_attention_mask=keep,
+    )
+    single = forward(params, cfg, ids, **kwargs)
+    batched = forward(params, cfg, ids[None], **{name: a[None] for name, a in kwargs.items()})
+    assert np.array_equal(single.logits.data, batched.logits.data[0])
+    if family == "encoder-decoder":
+        with pytest.raises(InputError):
+            forward(params, cfg, ids, source_ids=np.zeros(cfg.max_seq_len + 1, dtype=int))
+
+
 def test_train_mode_needs_rng_when_dropout_active():
     cfg = tiny("decoder-only", dropout_p=0.1)
     params = build_model(cfg, seed=0)
