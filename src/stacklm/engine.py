@@ -1,12 +1,14 @@
 """Training engine: one-step recipe and deterministic simulated data parallelism.
 
 A step runs forward (optionally discarding per-layer activations and
-recomputing them during backward), scales the loss, checks the dynamic
-loss scaler, clips the global gradient norm and applies one Adam update at
-the scheduled learning rate.  A step whose gradients are not finite is
-skipped, with or without the loss scaler.  Every step takes one path: the
-batch is split into ``n_shards`` shards, every shard loss is normalized by
-the full-batch denominators, and shard gradients are summed in fixed
+recomputing them during backward) and backpropagates the scaled loss.  One
+number then decides the update: the global L2 norm of the summed, still
+scaled gradients, divided by the loss scale.  A non-finite norm skips the
+step, with or without the loss scaler, and backs the scaler off; otherwise
+one multiply unscales and clips the gradients and one Adam update runs at
+the scheduled learning rate.  Every step takes one path: the batch is
+split into ``n_shards`` shards, every shard loss is normalized by the
+full-batch denominators, and shard gradients are summed in fixed
 shard-index order.  One shard is exactly the full-batch step; more shards
 equal it up to floating-point rounding.
 
@@ -147,15 +149,12 @@ class TrainEngine:
         return grads
 
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
-        skipped = False
-        norm = float("nan")
+        """One decision from the global norm of ``grads``, which carry the loss scale."""
+        scale = self.scaler.scale if self.scaler else 1.0
+        grads, norm = clip_global_norm(grads, self.cfg.max_grad_norm, scale)
+        skipped = not math.isfinite(norm)
         if self.scaler is not None:
-            ok, grads = loss_scaler_step(self.scaler, grads)
-            skipped = not ok
-        if not skipped:
-            grads, norm = clip_global_norm(grads, self.cfg.max_grad_norm)
-            # without a loss scaler, the norm is the only non-finite check
-            skipped = not math.isfinite(norm)
+            loss_scaler_step(self.scaler, not skipped)
         lr = lr_at(self.cfg.schedule, self.step + 1)
         if not skipped:
             adam_step(self.params, grads, self.optimizer, lr)
@@ -176,7 +175,8 @@ class TrainEngine:
         """Forward/backward only: (loss-scale times gradients, unscaled loss).
 
         Every shard loss is normalized by the full-batch denominators and
-        shard gradients are summed in fixed shard-index order.
+        shard gradients are summed, in place into the first shard's arrays,
+        in fixed shard-index order.
         """
         scale = self.scaler.scale if self.scaler else 1.0
         global_weights = self._loss_weights(batch)
@@ -192,16 +192,22 @@ class TrainEngine:
                 scaled = T.scale(loss, scale) if self.scaler else loss
             tape.backward(scaled)
             for name, grad in self._collect_grads().items():
-                combined[name] = combined[name] + grad if name in combined else grad
+                if name in combined:
+                    combined[name] += grad
+                else:
+                    combined[name] = grad
             loss_total += float(loss.data)
         self.params.zero_grads()
         return combined, loss_total
 
     def compute_gradients(self, batch: PackedSequenceBatch, n_shards: int = 1) -> tuple[dict[str, np.ndarray], float]:
-        """Unscaled full-batch gradients and loss, without touching any state."""
+        """Unscaled full-batch gradients and loss, without touching any state.
+
+        An overflow leaves the gradients as computed, still scaled.
+        """
         grads, loss = self._scaled_gradients(batch, n_shards)
         scale = self.scaler.scale if self.scaler else 1.0
-        return {name: g / scale for name, g in grads.items()}, loss
+        return clip_global_norm(grads, math.inf, scale)[0], loss
 
     def train_step(self, batch: PackedSequenceBatch) -> StepMetrics:
         """One full-batch step (a single shard)."""

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .bpe import TokenizerVocab, encode
 from .data import PackedSequenceBatch
-from .engine import EngineConfig, StepMetrics, TrainEngine
+from .engine import EngineConfig, StepMetrics, TrainEngine, train_loop
 from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, forward
 from .optim import AdamHyperparams, TrainSchedule
 from .tensor import Tensor
@@ -173,6 +173,10 @@ class FinetuneSettings:
     seed: int = 0
     recompute_activations: bool = False
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise InputError(f"batch size must be at least 1, got {self.batch_size}")
+
 
 @dataclass
 class FinetunedModel:
@@ -209,8 +213,6 @@ def finetune(
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
     if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
         raise InputError("pair-classifier needs text_b on every example")
-    if settings.batch_size < 1:
-        raise InputError(f"batch size must be at least 1, got {settings.batch_size}")
     n_classes = len(dataset.label_vocab)
     d = cfg.d_layer
     tensors = dict(params.tensors)
@@ -249,9 +251,7 @@ def finetune(
         seed=settings.seed,
     )
     engine = TrainEngine(full, cfg, engine_cfg, loss_fn=loss_fn, weights_fn=lambda b: (float(b.batch_size),))
-    history = []
-    for _ in range(total):
-        history.append(engine.train_step(batch_fn(engine.step)))
+    history = train_loop(engine, batch_fn, total)
     return FinetunedModel(full, cfg, head, list(dataset.label_vocab), history)
 
 

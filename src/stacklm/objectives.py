@@ -7,8 +7,8 @@ nothing; ``sop_loss`` is the two-way segment-order head; ``seq2seq_loss``
 is next-token prediction over the target block given the encoded source.
 Encoder pretraining optimizes ``mlm_loss + sop_loss``.
 
-A loss called with an all-zero mask is defined as exactly zero; those
-events are tallied in a module counter so training loops can surface them.
+A loss called with an all-zero mask is defined as exactly zero, with a
+zero gradient.
 """
 
 from __future__ import annotations
@@ -19,24 +19,6 @@ from . import tensor as T
 from .data import PackedSequenceBatch
 from .tensor import Tensor
 
-_empty_mask_events = 0
-
-
-def empty_mask_events() -> int:
-    return _empty_mask_events
-
-
-def reset_empty_mask_events() -> None:
-    global _empty_mask_events
-    _empty_mask_events = 0
-
-
-def _masked_cross_entropy(logits, targets, mask, normalizer=None):
-    global _empty_mask_events
-    if float(np.sum(mask)) == 0.0:
-        _empty_mask_events += 1
-    return T.softmax_cross_entropy(logits, targets, mask, normalizer)
-
 
 def lm_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None = None) -> Tensor:
     """Next-token cross entropy with the causal shift applied here."""
@@ -46,24 +28,24 @@ def lm_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None
     pred = T.narrow(logits, logits.ndim - 2, 0, steps)
     targets = batch.ids[..., 1:]
     mask = batch.loss_mask[..., 1:]
-    return _masked_cross_entropy(pred, targets, mask, normalizer)
+    return T.softmax_cross_entropy(pred, targets, mask, normalizer)
 
 
 def mlm_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None = None) -> Tensor:
     """Cross entropy averaged over the corrupted positions only."""
     if batch.mlm_targets is None:
         raise ValueError("batch has no masked-token targets")
-    return _masked_cross_entropy(logits, batch.mlm_targets, batch.loss_mask, normalizer)
+    return T.softmax_cross_entropy(logits, batch.mlm_targets, batch.loss_mask, normalizer)
 
 
 def sop_loss(sop_logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None = None) -> Tensor:
     if batch.sop_labels is None:
         raise ValueError("batch has no segment-order labels")
-    return _masked_cross_entropy(sop_logits, batch.sop_labels, np.ones(batch.batch_size), normalizer)
+    return T.softmax_cross_entropy(sop_logits, batch.sop_labels, np.ones(batch.batch_size), normalizer)
 
 
 def seq2seq_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float | None = None) -> Tensor:
     """Next-token loss over the target block given the full source."""
     if batch.target_out is None:
         raise ValueError("batch has no seq2seq targets")
-    return _masked_cross_entropy(logits, batch.target_out, batch.loss_mask, normalizer)
+    return T.softmax_cross_entropy(logits, batch.target_out, batch.loss_mask, normalizer)

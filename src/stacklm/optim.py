@@ -1,5 +1,8 @@
 """Optimization recipe: warmup schedules, global clipping, Adam, loss scaling.
 
+Clipping also unscales, and its non-finite global norm is the one overflow
+signal that the ``LossScaler`` state machine acts on.
+
 Weight decay is decoupled (applied to the parameter before the Adam delta,
 never mixed into the gradient).  Matrices decay; vectors (biases and norm
 gains) and the embedding tables do not, following the model lineage these
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,22 +66,27 @@ def lr_at(schedule: TrainSchedule, step: int) -> float:
     return schedule.peak_lr + (schedule.min_lr - schedule.peak_lr) * progress
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> tuple[dict[str, np.ndarray], float]:
-    """Rescale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(
+    grads: dict[str, np.ndarray], max_norm: float = 1.0, loss_scale: float = 1.0
+) -> tuple[dict[str, np.ndarray], float]:
+    """Unscale gradients and rescale them so their joint L2 norm is at most ``max_norm``.
 
-    Returns the (possibly rescaled) gradients and the observed pre-clip
-    norm.  A non-finite input is signalled by a non-finite returned norm
-    with the gradients untouched, not by an exception.
+    ``grads`` still carry ``loss_scale``.  Their norm is taken once and
+    divided by it; the gradients are then unscaled and clipped by a single
+    multiply, and returned unchanged when that factor is 1.  Returns the
+    gradients and the unscaled pre-clip norm.  A non-finite input (an
+    overflow) is signalled by a non-finite returned norm with the gradients
+    untouched, not by an exception.
     """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.square(g, dtype=np.float64)))
-    norm = math.sqrt(total)
+    norm = math.sqrt(total) / loss_scale
     if not math.isfinite(norm):
         return grads, norm
-    if norm <= max_norm:
+    factor = (max_norm / norm if norm > max_norm else 1.0) / loss_scale
+    if factor == 1.0:
         return grads, norm
-    factor = max_norm / norm
     return {name: g * factor for name, g in grads.items()}, norm
 
 
@@ -135,10 +142,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: Optimize
 class LossScaler:
     """Dynamic loss-scale state machine.
 
-    Any non-finite gradient skips the update, multiplies the scale by
+    A step with non-finite gradients is skipped, multiplies the scale by
     ``backoff_factor`` and resets the good-step counter; after
     ``growth_interval`` consecutive good steps the scale grows by
-    ``growth_factor``.
+    ``growth_factor``.  From a power-of-two start the default factors keep
+    every scale a power of two, so unscaling by it is exact.
     """
 
     scale: float = 2.0**16
@@ -152,22 +160,17 @@ class LossScaler:
             raise ValueError(f"loss scale must be positive, got {self.scale}")
 
 
-def loss_scaler_step(
-    scaler: LossScaler, grads: dict[str, np.ndarray]
-) -> tuple[bool, Optional[dict[str, np.ndarray]]]:
-    """Inspect scaled gradients; unscale them or request a skipped step.
+def loss_scaler_step(scaler: LossScaler, finite: bool) -> None:
+    """Advance the scaler after one step whose gradients were (not) ``finite``.
 
-    Returns ``(True, unscaled_grads)`` on a good step and ``(False, None)``
-    after an overflow (a skip is a normal outcome, surfaced in metrics).
+    The caller decides finiteness (``clip_global_norm`` returns a
+    non-finite norm on overflow) and skips the update itself.
     """
-    overflow = any(not np.all(np.isfinite(g)) for g in grads.values())
-    if overflow:
+    if not finite:
         scaler.scale *= scaler.backoff_factor
         scaler.consecutive_good_steps = 0
-        return False, None
-    unscaled = {name: g / scaler.scale for name, g in grads.items()}
+        return
     scaler.consecutive_good_steps += 1
     if scaler.consecutive_good_steps >= scaler.growth_interval:
         scaler.scale *= scaler.growth_factor
         scaler.consecutive_good_steps = 0
-    return True, unscaled

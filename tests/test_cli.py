@@ -70,12 +70,15 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys):
          "--train", str(tsv), "--batch-size", "0"],
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
          "--train", str(tsv), "--dev", str(tsv)],
+        # an option error is not reported as a failure of the first depth
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--batch-size", "0"],
     ]
     for i, argv in enumerate(cases):
         rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
         assert rc == 1, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
+        assert not (tmp_path / f"run{i}" / "sweep_partial.csv").exists(), argv
 
 
 def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):

@@ -223,14 +223,19 @@ def test_metrics_stream_fields():
 
 
 def test_skipped_step_on_overflow_keeps_parameters():
-    _, params, engine = model_and_engine()
-    before = {n: t.data.copy() for n, t in params.items()}
-    grads = {n: np.full_like(t.data, np.nan) for n, t in params.items()}
-    metrics = engine._apply_update(grads, 1.0)
-    assert metrics.skipped
-    assert engine.scaler.scale == 2.0**15
-    for n, t in params.items():
-        assert np.array_equal(t.data, before[n])
+    for bad in (np.nan, np.inf):
+        _, params, engine = model_and_engine()
+        before = {n: t.data.copy() for n, t in params.items()}
+        grads = {n: np.full_like(t.data, bad) for n, t in params.items()}
+        metrics = engine._apply_update(grads, 1.0)
+        assert metrics.skipped
+        assert engine.scaler.scale == 2.0**15
+        # the observed non-finite norm is reported, inf for an inf gradient
+        assert not np.isfinite(metrics.grad_norm) and np.isnan(metrics.grad_norm) == np.isnan(bad)
+        assert engine.optimizer.step == 0
+        for n, t in params.items():
+            assert np.array_equal(t.data, before[n])
+            assert not engine.optimizer.m[n].any() and not engine.optimizer.v[n].any(), n
 
 
 def test_nonfinite_gradient_skips_step_without_loss_scaler():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -83,17 +84,40 @@ def test_schedule_continuous_and_monotone(peak, frac, warmup, extra, shape):
 # ---------------------------------------------------------------------------
 
 
+LOSS_SCALES = (1.0, 2.0, 2.0**16)
+
+
+def unscale_then_clip(grads, max_norm, loss_scale):
+    """Reference: divide by the loss scale, then clip the unscaled gradients."""
+    unscaled = {name: g / loss_scale for name, g in grads.items()}
+    norm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in unscaled.values()))
+    if norm <= max_norm:
+        return unscaled, norm
+    return {name: g * (max_norm / norm) for name, g in unscaled.items()}, norm
+
+
 def test_clip_below_threshold_unchanged():
     grads = {"a": np.array([0.3, 0.4])}
     out, norm = clip_global_norm(grads, 1.0)
     assert norm == pytest.approx(0.5)
     assert out["a"] is grads["a"]
+    for scale in LOSS_SCALES:
+        scaled = {"a": np.array([0.3, 0.4]) * scale}
+        out, norm = clip_global_norm(scaled, 1.0, loss_scale=scale)
+        assert norm == pytest.approx(0.5)
+        assert np.array_equal(out["a"], [0.3, 0.4])  # unscaled with the given scale
+        assert np.array_equal(out["a"], unscale_then_clip(scaled, 1.0, scale)[0]["a"])
 
 
 def test_clip_three_four_five():
     out, norm = clip_global_norm({"a": np.array([3.0, 4.0])}, 1.0)
     assert norm == pytest.approx(5.0)
     assert np.allclose(out["a"], [0.6, 0.8])
+    for scale in LOSS_SCALES:
+        scaled = {"a": np.array([3.0, 4.0], dtype=np.float32) * scale}
+        out, norm = clip_global_norm(scaled, 1.0, loss_scale=scale)
+        assert norm == 5.0
+        assert np.array_equal(out["a"], unscale_then_clip(scaled, 1.0, scale)[0]["a"])
 
 
 def test_clip_concatenation_invariance():
@@ -104,17 +128,33 @@ def test_clip_concatenation_invariance():
 
 
 def test_clip_nonfinite_signals_overflow():
-    grads = {"a": np.array([np.nan, 1.0])}
-    out, norm = clip_global_norm(grads, 1.0)
-    assert not np.isfinite(norm)
-    assert out["a"] is grads["a"]
+    # a float64 gradient whose squares overflow counts as an overflow too
+    for bad in (np.nan, np.inf, 1e200):
+        for scale in LOSS_SCALES:
+            grads = {"a": np.array([bad, 1.0]), "b": np.ones(3, dtype=np.float32)}
+            with np.errstate(over="ignore"):
+                out, norm = clip_global_norm(grads, 1.0, loss_scale=scale)
+            assert not np.isfinite(norm)
+            assert np.isnan(norm) == np.isnan(bad), (bad, scale)
+            assert out["a"] is grads["a"] and out["b"] is grads["b"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
-def test_clip_post_norm_bounded(values):
-    out, _ = clip_global_norm({"g": np.array(values)}, 1.0)
-    assert np.sqrt(np.sum(out["g"] ** 2)) <= 1.0 + 1e-6
+@given(
+    st.lists(st.floats(-1e3, 1e3, width=32, allow_subnormal=False), min_size=1, max_size=20),
+    st.sampled_from(LOSS_SCALES),
+    st.sampled_from([1.0, 1e5]),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_clip_post_norm_bounded(values, scale, max_norm, dtype):
+    grads = {"g": np.array(values, dtype=dtype) * scale, "h": np.array(values[:3], dtype=dtype) * scale}
+    out, norm = clip_global_norm(grads, max_norm, loss_scale=scale)
+    assert np.sqrt(np.sum(out["g"] ** 2) + np.sum(out["h"] ** 2)) <= max_norm * (1 + 1e-6)
+    # one call equals unscale-then-clip bit for bit (power-of-two scales)
+    expect, expect_norm = unscale_then_clip(grads, max_norm, scale)
+    assert norm == expect_norm
+    for name, g in out.items():
+        assert g.dtype == dtype and np.array_equal(g, expect[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +224,19 @@ def test_decay_set_excludes_vectors_and_embeddings():
 # ---------------------------------------------------------------------------
 
 
-def good(scale):
-    return {"g": np.ones(2) * scale}
-
-
-def bad():
-    return {"g": np.array([1.0, np.nan])}
-
-
 def test_growth_after_interval():
     scaler = LossScaler(scale=4.0, growth_interval=3, growth_factor=2.0)
     for _ in range(2):
-        ok, _ = loss_scaler_step(scaler, good(scaler.scale))
-        assert ok
+        loss_scaler_step(scaler, True)
     assert scaler.scale == 4.0 and scaler.consecutive_good_steps == 2
-    ok, grads = loss_scaler_step(scaler, good(scaler.scale))
-    assert ok and scaler.scale == 8.0 and scaler.consecutive_good_steps == 0
-    assert np.allclose(grads["g"], 1.0)  # unscaled with the pre-growth scale
+    loss_scaler_step(scaler, True)
+    assert scaler.scale == 8.0 and scaler.consecutive_good_steps == 0
 
 
 def test_overflow_backs_off_and_resets():
     scaler = LossScaler(scale=16.0, growth_interval=10)
-    loss_scaler_step(scaler, good(16.0))
-    ok, grads = loss_scaler_step(scaler, bad())
-    assert not ok and grads is None
+    loss_scaler_step(scaler, True)
+    loss_scaler_step(scaler, False)
     assert scaler.scale == 8.0
     assert scaler.consecutive_good_steps == 0
 
@@ -216,7 +245,7 @@ def test_three_overflows_from_65536():
     scaler = LossScaler()
     assert scaler.scale == 65536.0
     for _ in range(3):
-        loss_scaler_step(scaler, bad())
+        loss_scaler_step(scaler, False)
     assert scaler.scale == 8192.0
 
 
@@ -245,7 +274,7 @@ def test_scaler_state_machine_exhaustive():
         for seq in sequences:
             scaler = LossScaler(scale=256.0, growth_interval=3)
             for overflow in seq:
-                loss_scaler_step(scaler, bad() if overflow else good(scaler.scale))
+                loss_scaler_step(scaler, not overflow)
             expect_scale, expect_counter = reference(seq, 256.0, 3)
             assert scaler.scale == expect_scale, seq
             assert scaler.consecutive_good_steps == expect_counter, seq

@@ -92,7 +92,8 @@ def test_traced_run_records_every_layer_and_matches_untraced():
         # two shards per pretraining step; two single-shard fine-tune steps
         assert added.get("model.forward") == 2, (family, added)
         assert added.get("engine.step") == (1 if family in FAMILIES else 2), (family, added)
-        for name in ("op.matmul.fwd", "op.matmul.bwd", "tensor.backward", "tensor.dropout_mask", "optim.adam"):
+        for name in ("op.matmul.fwd", "op.matmul.bwd", "tensor.backward", "tensor.dropout_mask",
+                     "optim.unscale", "optim.clip", "optim.adam"):
             assert added.get(name, 0) > 0, (family, name)
         # encoder pretraining adds the MLM and SOP losses; the fine-tune head has its own
         assert added.get("objectives.loss", 0) == {"encoder-only": 4, "finetune": 0}.get(family, 2), (family, added)
