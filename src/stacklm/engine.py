@@ -201,13 +201,10 @@ class TrainEngine:
         return combined, loss_total
 
     def compute_gradients(self, batch: PackedSequenceBatch, n_shards: int = 1) -> tuple[dict[str, np.ndarray], float]:
-        """Unscaled full-batch gradients and loss, without touching any state.
-
-        An overflow leaves the gradients as computed, still scaled.
-        """
+        """Unscaled full-batch gradients and loss, without touching any state."""
         grads, loss = self._scaled_gradients(batch, n_shards)
         scale = self.scaler.scale if self.scaler else 1.0
-        return clip_global_norm(grads, math.inf, scale)[0], loss
+        return {name: g / scale for name, g in grads.items()}, loss
 
     def train_step(self, batch: PackedSequenceBatch) -> StepMetrics:
         """One full-batch step (a single shard)."""

@@ -146,7 +146,8 @@ class LossScaler:
     ``backoff_factor`` and resets the good-step counter; after
     ``growth_interval`` consecutive good steps the scale grows by
     ``growth_factor``.  From a power-of-two start the default factors keep
-    every scale a power of two, so unscaling by it is exact.
+    every scale a power of two, so unscaling by it is exact unless the
+    unscaled value is subnormal.
     """
 
     scale: float = 2.0**16
