@@ -37,7 +37,7 @@ from .cost import (
     render_cost_csv,
     render_cost_report,
 )
-from .engine import EngineConfig, TrainEngine, save_engine_checkpoint, train_loop
+from .engine import EngineConfig, TrainEngine, save_engine_checkpoint, train_loop, write_metrics
 from .evaluation import (
     FinetuneSettings,
     FinetunedModel,
@@ -51,7 +51,6 @@ from .evaluation import (
 )
 from .model import (
     ModelConfig,
-    ModelParams,
     build_model,
     count_params,
     load_checkpoint,
@@ -148,8 +147,6 @@ def cmd_tokenize_train(args) -> int:
     docs = datap.read_documents(args.corpus)
     vocab = bpe.train_bpe(docs, args.vocab_size)
     bpe.save_vocab(vocab, run.file("vocab.txt"))
-    streams = datap.encode_corpus(docs, vocab)
-    datap.write_token_cache(run.file("tokens"), streams)
     print(f"trained vocabulary of {vocab.size} tokens ({len(vocab.merges)} merges) -> {run.file('vocab.txt')}")
     run.finalize(args.seed)
     return 0
@@ -241,7 +238,7 @@ def cmd_finetune(args) -> int:
     )
     with open(run.file("metrics.jsonl"), "w", encoding="utf-8") as fh:
         for m in model.history:
-            fh.write(m.to_json() + "\n")
+            write_metrics(fh, m)
     print(f"fine-tuned {len(model.history)} steps; head={args.head}; saved {run.file('finetuned.npz')}")
     if args.dev:
         dev = load_tsv_dataset(args.dev, "dev", label_vocab=model.label_vocab)
@@ -264,15 +261,8 @@ def _metrics_line(metrics) -> str:
 
 
 def _write_metrics_json(run: RunDirectory, metrics) -> None:
-    payload = {
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "confusion": metrics.confusion,
-    }
     with open(run.file("metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(dataclasses.asdict(metrics), fh, indent=2)
         fh.write("\n")
 
 
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         p.add_argument("--out", help="run directory (default $STACKLM_OUT_ROOT/<command>)")
 
-    p = sub.add_parser("tokenize-train", help="train a byte-level BPE vocabulary and cache the encoded corpus")
+    p = sub.add_parser("tokenize-train", help="train a byte-level BPE vocabulary on a text corpus")
     p.add_argument("--corpus", required=True, help="plain-text corpus, blank-line separated documents")
     p.add_argument("--vocab-size", type=int, required=True)
     common(p)

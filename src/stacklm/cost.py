@@ -91,10 +91,6 @@ def eflops(record: CostRecord) -> float:
     return record.wall_hours * 3600.0 * record.gpus * record.peak_rate / 1e18
 
 
-def tokens_per_step(cfg: ModelConfig, batch_size: int) -> int:
-    return batch_size * cfg.max_seq_len
-
-
 def theoretical_train_flops(cfg: ModelConfig, tokens: int) -> float:
     """Classic 6 x parameters x tokens projection (theoretical only)."""
     return 6.0 * count_params(cfg) * tokens
@@ -216,26 +212,38 @@ def _read_packaged_csv(name: str) -> list[dict[str, str]]:
 
 def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEAK_FLOPS) -> list[CostRecord]:
     """Cost rows from a CSV file (columns model,time,steps,gpus,reported_eflops);
-    defaults to the bundled reference table."""
+    defaults to the bundled reference table.  Errors name the file, the data
+    row (counted from 1) and the column."""
     if path is None:
         raw = _read_packaged_csv("cost_table.csv")
     else:
         with open(path, encoding="utf-8", newline="") as fh:
             raw = list(csv.DictReader(fh))
     records = []
-    for row in raw:
-        reported = row.get("reported_eflops", "").strip()
+    for index, row in enumerate(raw, start=1):
+        where = f"{path or 'bundled cost table'}: row {index}"
         records.append(
             CostRecord(
-                model=row["model"].strip(),
-                wall_hours=parse_duration_hours(row["time"]),
-                steps=parse_count(row["steps"]),
-                gpus=int(row["gpus"]),
+                model=_cell(row, "model", str.strip, where),
+                wall_hours=_cell(row, "time", parse_duration_hours, where),
+                steps=_cell(row, "steps", parse_count, where),
+                gpus=_cell(row, "gpus", int, where),
                 peak_rate=peak_rate,
-                reported_eflops=float(reported) if reported else None,
+                reported_eflops=_cell(row, "reported_eflops", lambda t: float(t) if t.strip() else None, where, ""),
             )
         )
     return records
+
+
+def _cell(row: dict[str, Optional[str]], column: str, parse, where: str, default: Optional[str] = None):
+    """``parse(row[column])``; a missing column, a short row or a bad value is a ``CostError``."""
+    text = row.get(column, default)
+    if text is None:
+        raise CostError(f"{where}: no value for column {column!r}")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CostError(f"{where}: column {column!r}: {exc}") from None
 
 
 def reference_model_configs() -> dict[str, ModelConfig]:

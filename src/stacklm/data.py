@@ -5,12 +5,6 @@ block.  Encoded documents are packed greedily into fixed-length sequences
 (in corpus order, separated by the end-of-document token); the final partial
 sequence is padded and its pad positions carry zero loss weight.
 
-Token caches are a pair of little-endian binary files:
-
-* ``<name>.bin``: the concatenated token ids as uint32.
-* ``<name>.idx``: magic ``STKTOK1\\n`` (8 bytes), then ``n_docs + 1``
-  uint64 offsets into the .bin (prefix sums of document lengths).
-
 Batch construction is deterministic: the content of batch ``k`` depends
 only on (packed corpus, seed, k), never on timing, so sharded and replayed
 runs see identical data.
@@ -26,7 +20,6 @@ import numpy as np
 
 from .bpe import SPECIAL_NAMES, TokenizerVocab, encode
 
-_IDX_MAGIC = b"STKTOK1\n"
 _MASK_DOMAIN = 0xB0CA
 _SOP_DOMAIN = 0x50B1
 
@@ -100,28 +93,6 @@ def read_documents(path: str) -> list[str]:
         if block.strip():
             docs.append(block)
     return docs
-
-
-def write_token_cache(path_prefix: str, streams: Sequence[Sequence[int]]) -> None:
-    flat = np.concatenate([np.asarray(s, dtype="<u4") for s in streams]) if streams else np.zeros(0, "<u4")
-    offsets = np.zeros(len(streams) + 1, dtype="<u8")
-    np.cumsum([len(s) for s in streams], out=offsets[1:])
-    flat.tofile(path_prefix + ".bin")
-    with open(path_prefix + ".idx", "wb") as fh:
-        fh.write(_IDX_MAGIC)
-        offsets.tofile(fh)
-
-
-def read_token_cache(path_prefix: str) -> list[np.ndarray]:
-    with open(path_prefix + ".idx", "rb") as fh:
-        magic = fh.read(len(_IDX_MAGIC))
-        if magic != _IDX_MAGIC:
-            raise DataError(f"{path_prefix}.idx is not a token cache index")
-        offsets = np.fromfile(fh, dtype="<u8")
-    flat = np.fromfile(path_prefix + ".bin", dtype="<u4")
-    if offsets.size == 0 or offsets[-1] != flat.size:
-        raise DataError(f"token cache {path_prefix} is inconsistent with its index")
-    return [flat[offsets[i] : offsets[i + 1]].astype(np.int64) for i in range(offsets.size - 1)]
 
 
 def encode_corpus(docs: Iterable[str], vocab: TokenizerVocab, mode: str = "splitter") -> list[list[int]]:

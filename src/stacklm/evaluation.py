@@ -75,14 +75,6 @@ def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = N
     return ClassificationDataset(examples, split, label_vocab)
 
 
-def save_tsv_dataset(dataset: ClassificationDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["text_a", "text_b", "label"])
-        for ex in dataset.examples:
-            writer.writerow([ex.text_a, ex.text_b or "", ex.label])
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

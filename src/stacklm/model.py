@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -167,17 +168,6 @@ def parameter_inventory(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], st
 def count_params(cfg: ModelConfig) -> int:
     """Analytic parameter total; equals the instantiated element count."""
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_inventory(cfg))
-
-
-def block_param_count(cfg: ModelConfig) -> int:
-    """Parameters contributed by the transformer blocks alone."""
-
-    def block_size(cross: bool) -> int:
-        return sum(int(np.prod(shape)) for _, shape, _ in _block_inventory("block", cfg, cross))
-
-    if cfg.family == "encoder-decoder":
-        return (block_size(False) + block_size(True)) * (cfg.n_layers // 2)
-    return block_size(False) * cfg.n_layers
 
 
 class ModelParams:
@@ -487,10 +477,15 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict
 def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams, ModelConfig, dict]:
     """Parameters, config and ``extra``; each requested slot is added to
     ``extra`` as a name -> array dict, shape-checked against the parameters."""
-    with np.load(path) as archive:
+    try:
+        archive = np.load(path)
         meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')!r}")
+        version = meta.get("version")
+    except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
+        raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
+    with archive:
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {version!r}")
         if "config" not in meta:
             raise ConfigError(f"{path}: checkpoint meta has no model config")
         cfg = config_from_text(meta["config"], source=path)

@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stacklm.cli import main
-from stacklm.evaluation import make_synthetic_pair_task, save_tsv_dataset
+import stacklm
+from stacklm.evaluation import make_synthetic_pair_task
 from stacklm.model import ModelConfig, build_model, save_checkpoint
 from stacklm import bpe
 
@@ -53,14 +54,24 @@ def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
 
 
-def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys):
+def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv):
     vocab = bpe.train_bpe("some words repeat words repeat some", 60)
     vocab_path = tmp_path / "vocab.txt"
     bpe.save_vocab(vocab, str(vocab_path))
     cfg = ModelConfig("encoder-only", 1, d_layer=16, n_heads=2, d_head=8, vocab_size=vocab.size, max_seq_len=32)
     save_checkpoint(str(tmp_path / "model.npz"), build_model(cfg, seed=0), cfg)
     tsv = tmp_path / "train.tsv"
-    save_tsv_dataset(make_synthetic_pair_task(8, seed=0), str(tsv))
+    write_tsv(make_synthetic_pair_task(8, seed=0), str(tsv))
+    # truncated checkpoints, one without a meta record, and cost tables missing a column or a cell
+    raw = (tmp_path / "model.npz").read_bytes()
+    bad_checkpoints = []
+    for cut in (0, 1, len(raw) // 3, len(raw) - 1):
+        bad_checkpoints.append(tmp_path / f"cut{cut}.npz")
+        bad_checkpoints[-1].write_bytes(raw[:cut])
+    bad_checkpoints.append(tmp_path / "no-meta.npz")
+    np.savez(str(bad_checkpoints[-1]), unrelated=np.zeros(3))
+    (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
+    (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
     pretrain = ["pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS), "--toy"]
     cases = [
         pretrain + ["--steps", "0"],
@@ -72,7 +83,12 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys):
          "--train", str(tsv), "--dev", str(tsv)],
         # an option error is not reported as a failure of the first depth
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--batch-size", "0"],
+        ["cost", "--table", str(tmp_path / "no-steps.csv")],
+        ["cost", "--table", str(tmp_path / "short-row.csv")],
     ]
+    for bad in bad_checkpoints:
+        cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
+        cases.append(["finetune", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--train", str(tsv)])
     for i, argv in enumerate(cases):
         rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
         assert rc == 1, argv
@@ -139,6 +155,7 @@ def test_cost_with_external_table(tmp_path, capsys):
 
 
 def test_tokenize_train_writes_vocab_and_cache(tmp_path):
+    # no token cache: the run directory holds only the vocabulary and the manifest
     out = tmp_path / "run"
     rc = main([
         "tokenize-train", "--corpus", str(TOY_CORPUS), "--vocab-size", "400", "--out", str(out),
@@ -146,7 +163,7 @@ def test_tokenize_train_writes_vocab_and_cache(tmp_path):
     assert rc == 0
     vocab = bpe.load_vocab(str(out / "vocab.txt"))
     assert vocab.size <= 400
-    assert (out / "tokens.bin").exists() and (out / "tokens.idx").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "vocab.txt"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["input_hashes"]["corpus"].startswith("sha256:")
 
@@ -185,7 +202,7 @@ def test_pretrain_rerun_reproduces_metrics(pretrain_run, tmp_path):
     assert a == b
 
 
-def test_finetune_eval_round_trip(tmp_path):
+def test_finetune_eval_round_trip(tmp_path, write_tsv):
     # encoder pretrain (tiny), then finetune on a synthetic TSV, then eval
     pre_out = tmp_path / "pre"
     rc = main([
@@ -197,8 +214,8 @@ def test_finetune_eval_round_trip(tmp_path):
     vocab_path = pre_out / "vocab.txt"
     train_tsv = tmp_path / "train.tsv"
     dev_tsv = tmp_path / "dev.tsv"
-    save_tsv_dataset(make_synthetic_pair_task(24, seed=0), str(train_tsv))
-    save_tsv_dataset(make_synthetic_pair_task(12, seed=0, split="dev"), str(dev_tsv))
+    write_tsv(make_synthetic_pair_task(24, seed=0), str(train_tsv))
+    write_tsv(make_synthetic_pair_task(12, seed=0, split="dev"), str(dev_tsv))
 
     ft_out = tmp_path / "ft"
     rc = main([
@@ -266,11 +283,13 @@ def test_out_root_env_variable(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "count-params" / "manifest.json").exists()
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    src = str(Path(stacklm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "stacklm.cli", "count-params", "--config", str(CONFIGS / "bert-c.cfg"),
-         "--out", "/tmp/stacklm-entry-test"],
-        capture_output=True, text=True,
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "parameters" in proc.stdout

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from stacklm.cost import (
     render_cost_csv,
     render_cost_report,
     theoretical_train_flops,
-    tokens_per_step,
 )
 from stacklm.model import ModelConfig, count_params
 
@@ -61,8 +62,6 @@ def test_eflops_scaling_property(hours, gpus, k):
 
 
 def test_tokens_and_theoretical_flops():
-    cfg = ModelConfig("decoder-only", 2, 8, 2, 4, vocab_size=100, max_seq_len=1024)
-    assert tokens_per_step(cfg, 512) == 524_288
     tiny = ModelConfig("decoder-only", 0, 2, 1, 2, vocab_size=10, max_seq_len=4)
     assert theoretical_train_flops(tiny, 10**6) == 6.0 * count_params(tiny) * 10**6
 
@@ -124,6 +123,19 @@ def test_empty_report_is_header_only():
     assert text.splitlines() == [
         "model  time  steps  gpus  params  layers  eflops_computed  eflops_reported  deviation_pct"
     ]
+
+
+def test_malformed_cost_table_names_file_row_and_column(tmp_path):
+    tables = {
+        "no-steps.csv": ("model,time,gpus\nX,1h,1\n", "row 1: no value for column 'steps'"),
+        "short-row.csv": ("model,time,steps,gpus,reported_eflops\nX,1h,1K,1,\nY,2h\n", "row 2: no value for column"),
+        "bad-cell.csv": ("model,time,steps,gpus\nX,1h,1K,four\n", "row 1: column 'gpus'"),
+    }
+    for name, (text, detail) in tables.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CostError, match="^" + re.escape(f"{path}: {detail}")):
+            load_cost_records(str(path))
 
 
 def test_load_cost_records_from_file(tmp_path):

@@ -17,9 +17,7 @@ from stacklm.data import (
     make_sop_example,
     pack_documents,
     read_documents,
-    read_token_cache,
     word_spans,
-    write_token_cache,
 )
 from stacklm.tensor import Tape, Tensor
 
@@ -82,14 +80,6 @@ def test_read_documents(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("doc one line a\nline b\n\ndoc two\n\n\ndoc three\n", encoding="utf-8")
     assert read_documents(str(path)) == ["doc one line a\nline b", "doc two", "doc three"]
-
-
-def test_token_cache_round_trip(tmp_path):
-    streams = [[1, 2, 3], [9], list(range(100))]
-    prefix = str(tmp_path / "cache")
-    write_token_cache(prefix, streams)
-    loaded = read_token_cache(prefix)
-    assert [s.tolist() for s in loaded] == streams
 
 
 # ---------------------------------------------------------------------------

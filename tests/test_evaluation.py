@@ -18,7 +18,6 @@ from stacklm.evaluation import (
     make_synthetic_pair_task,
     metrics_from_confusion,
     render_sweep_csv,
-    save_tsv_dataset,
     synthetic_task_vocab,
 )
 from stacklm.model import ConfigError, InputError, ModelConfig, build_model
@@ -87,10 +86,10 @@ def test_published_rows_f1_is_harmonic_mean():
 # ---------------------------------------------------------------------------
 
 
-def test_tsv_round_trip(tmp_path):
+def test_tsv_round_trip(tmp_path, write_tsv):
     ds = make_synthetic_pair_task(10, seed=0)
     path = str(tmp_path / "task.tsv")
-    save_tsv_dataset(ds, path)
+    write_tsv(ds, path)
     loaded = load_tsv_dataset(path, "train")
     assert loaded.label_vocab == ["0", "1"]
     assert [e.text_a for e in loaded.examples] == [e.text_a for e in ds.examples]

@@ -6,7 +6,6 @@ from stacklm.model import (
     ConfigError,
     InputError,
     ModelConfig,
-    block_param_count,
     build_model,
     config_from_text,
     config_to_text,
@@ -72,11 +71,10 @@ def test_zero_layer_config_is_embeddings_plus_heads():
 
 
 def test_depth_doubling_doubles_block_subtotal():
+    # blocks are the only depth-dependent parameters: count(2n) - count(n) == count(n) - count(0)
     for family, n_layers in (("encoder-only", 3), ("decoder-only", 3), ("encoder-decoder", 2)):
-        a = tiny(family, n_layers=n_layers)
-        b = tiny(family, n_layers=2 * n_layers)
-        assert block_param_count(b) == 2 * block_param_count(a), family
-        assert count_params(b) - count_params(a) == block_param_count(a), family
+        zero, a, b = (count_params(tiny(family, n_layers=n)) for n in (0, n_layers, 2 * n_layers))
+        assert b - a == a - zero > 0, family
 
 
 def test_residual_projection_init_scale():
@@ -329,3 +327,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         forward(params, cfg, ids).logits.data, forward(loaded, cfg2, ids).logits.data
     )
+
+
+def test_truncated_or_foreign_checkpoint_is_config_error(tmp_path):
+    cfg = tiny("encoder-only")
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), build_model(cfg, seed=0), cfg)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.npz"
+    for cut in (0, 1, len(raw) // 3, len(raw) - 1):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(ConfigError, match="is not a stacklm checkpoint"):
+            load_checkpoint(str(bad))
+    for arrays in ({"param:tok_emb": np.zeros((13, 8))}, {"meta": np.frombuffer(b"[1]", dtype=np.uint8)}):
+        np.savez(str(bad), **arrays)
+        with pytest.raises(ConfigError, match="is not a stacklm checkpoint"):
+            load_checkpoint(str(bad))
