@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -35,21 +36,25 @@ class CostError(ValueError):
     pass
 
 
+def _finite_non_negative(value):
+    if not 0 <= value < math.inf:
+        raise CostError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def parse_duration_hours(text: str) -> float:
     """``"45h38m"`` -> 45 + 38/60; plain numbers are hours."""
     text = text.strip()
     if not text:
         raise CostError("empty duration")
     try:
-        return float(text)
+        hours = float(text)
     except ValueError:
-        pass
-    match = _DURATION.match(text)
-    if not match or (match.group(1) is None and match.group(2) is None):
-        raise CostError(f"cannot parse duration {text!r}")
-    hours = float(match.group(1) or 0.0)
-    minutes = float(match.group(2) or 0.0)
-    return hours + minutes / 60.0
+        match = _DURATION.match(text)
+        if not match or (match.group(1) is None and match.group(2) is None):
+            raise CostError(f"cannot parse duration {text!r}") from None
+        hours = float(match.group(1) or 0.0) + float(match.group(2) or 0.0) / 60.0
+    return _finite_non_negative(hours)
 
 
 def parse_count(text: str) -> int:
@@ -63,9 +68,10 @@ def parse_count(text: str) -> int:
     elif text[-1] in "mM":
         factor, text = 1_000_000, text[:-1]
     try:
-        return int(round(float(text) * factor))
-    except ValueError:
+        count = int(round(float(text) * factor))
+    except (ValueError, OverflowError):
         raise CostError(f"cannot parse count {text!r}") from None
+    return _finite_non_negative(count)
 
 
 @dataclass
@@ -218,7 +224,10 @@ def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEA
         raw = _read_packaged_csv("cost_table.csv")
     else:
         with open(path, encoding="utf-8", newline="") as fh:
-            raw = list(csv.DictReader(fh))
+            try:
+                raw = list(csv.DictReader(fh))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise CostError(f"{path}: unreadable CSV table: {exc}") from None
     records = []
     for index, row in enumerate(raw, start=1):
         where = f"{path or 'bundled cost table'}: row {index}"
@@ -227,7 +236,7 @@ def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEA
                 model=_cell(row, "model", str.strip, where),
                 wall_hours=_cell(row, "time", parse_duration_hours, where),
                 steps=_cell(row, "steps", parse_count, where),
-                gpus=_cell(row, "gpus", int, where),
+                gpus=_cell(row, "gpus", lambda t: _finite_non_negative(int(t)), where),
                 peak_rate=peak_rate,
                 reported_eflops=_cell(row, "reported_eflops", lambda t: float(t) if t.strip() else None, where, ""),
             )

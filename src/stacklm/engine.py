@@ -1,16 +1,18 @@
 """Training engine: one-step recipe and deterministic simulated data parallelism.
 
-A step runs forward (optionally discarding per-layer activations and
-recomputing them during backward) and backpropagates the scaled loss.  One
-number then decides the update: the global L2 norm of the summed, still
-scaled gradients, divided by the loss scale.  A non-finite norm skips the
-step, with or without the loss scaler, and backs the scaler off; otherwise
-one multiply unscales and clips the gradients and one Adam update runs at
-the scheduled learning rate.  Every step runs one body, ``data_parallel_step``
-(alias ``train_step``): the batch is split into ``n_shards`` shards (default
-one), every shard loss is normalized by the full-batch denominators, and
-shard gradients are summed in fixed shard-index order.  One shard is exactly
-the full-batch step; more shards equal it up to floating-point rounding.
+A step runs one training forward (optionally discarding per-layer
+activations and recomputing them during backward), takes the loss that
+``objectives.loss`` chooses, for pretraining and fine-tuning alike, and
+backpropagates it scaled.  One number then decides the update: the global
+L2 norm of the summed, still scaled gradients, divided by the loss scale.
+A non-finite norm skips the step, with or without the loss scaler, and
+backs the scaler off; otherwise one multiply unscales and clips the
+gradients to norm 1 and one Adam update runs at the scheduled rate.  Every
+step runs one body, ``data_parallel_step`` (alias ``train_step``): every
+one of ``n_shards`` shard losses (default one) is normalized by the
+full-batch ``objectives.weights``, and shard gradients are summed in fixed
+shard-index order.  One shard is exactly the full-batch step; more shards
+equal it up to floating-point rounding.
 
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
@@ -30,9 +32,8 @@ import numpy as np
 from . import objectives
 from . import tensor as T
 from .data import PackedSequenceBatch
-from .model import ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
+from .model import ConfigError, ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
 from .optim import (
-    AdamHyperparams,
     LossScaler,
     OptimizerState,
     TrainSchedule,
@@ -47,11 +48,7 @@ from .tensor import DropoutRng, Tape, Tensor
 @dataclass
 class EngineConfig:
     schedule: TrainSchedule
-    adam: AdamHyperparams = AdamHyperparams()
-    max_grad_norm: float = 1.0
     use_loss_scaler: bool = True
-    initial_loss_scale: float = 2.0**16
-    scaler_growth_interval: int = 2000
     recompute_activations: bool = False
     seed: int = 0
 
@@ -75,44 +72,15 @@ def write_metrics(stream: TextIO, metrics: StepMetrics) -> None:
 
 
 class TrainEngine:
-    """Owns the parameters, optimizer state and step counter for one run.
+    """Owns the parameters, optimizer state and step counter for one run."""
 
-    ``loss_fn(engine, batch, rng, normalizers)`` overrides the family
-    objective (fine-tuning heads); ``weights_fn(batch)`` must then supply
-    the matching loss-component weights.
-    """
-
-    def __init__(
-        self,
-        params: ModelParams,
-        model_cfg: ModelConfig,
-        engine_cfg: EngineConfig,
-        loss_fn=None,
-        weights_fn=None,
-    ):
+    def __init__(self, params: ModelParams, model_cfg: ModelConfig, engine_cfg: EngineConfig):
         self.params = params
         self.model_cfg = model_cfg
         self.cfg = engine_cfg
-        self.loss_fn = loss_fn
-        self.weights_fn = weights_fn
-        self.optimizer = OptimizerState(params, engine_cfg.adam)
-        self.scaler = (
-            LossScaler(scale=engine_cfg.initial_loss_scale, growth_interval=engine_cfg.scaler_growth_interval)
-            if engine_cfg.use_loss_scaler
-            else None
-        )
+        self.optimizer = OptimizerState(params)
+        self.scaler = LossScaler() if engine_cfg.use_loss_scaler else None
         self.step = 0
-
-    # -- objective ---------------------------------------------------------
-
-    def _loss_weights(self, batch: PackedSequenceBatch) -> tuple[float, ...]:
-        if self.weights_fn is not None:
-            return self.weights_fn(batch)
-        if self.model_cfg.family == "encoder-only":
-            return (float(batch.loss_mask.sum()), float(batch.batch_size))
-        if self.model_cfg.family == "decoder-only":
-            return (float(batch.loss_mask[..., 1:].sum()),)
-        return (float(batch.loss_mask.sum()),)
 
     def _forward_loss(
         self,
@@ -125,20 +93,13 @@ class TrainEngine:
         ``normalizers`` are the full-batch per-component denominators, so
         shard losses sum to the full-batch loss.
         """
-        if self.loss_fn is not None:
-            return self.loss_fn(self, batch, rng, normalizers)
         out = forward(
             self.params, self.model_cfg, batch.ids, mode="train", rng=rng,
             recompute=self.cfg.recompute_activations,
             type_ids=batch.type_ids, attention_mask=batch.attention_mask,
             source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
         )
-        if self.model_cfg.family == "decoder-only":
-            return objectives.lm_loss(out.logits, batch, normalizers[0])
-        if self.model_cfg.family == "encoder-decoder":
-            return objectives.seq2seq_loss(out.logits, batch, normalizers[0])
-        mlm = objectives.mlm_loss(out.logits, batch, normalizers[0])
-        return T.add(mlm, objectives.sop_loss(out.sop_logits, batch, normalizers[1]))
+        return objectives.loss(self.params, self.model_cfg.family, out, batch, normalizers)
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -151,7 +112,7 @@ class TrainEngine:
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
         """One decision from the global norm of ``grads``, which carry the loss scale."""
         scale = self.scaler.scale if self.scaler else 1.0
-        grads, norm = clip_global_norm(grads, self.cfg.max_grad_norm, scale)
+        grads, norm = clip_global_norm(grads, loss_scale=scale)
         skipped = not math.isfinite(norm)
         if self.scaler is not None:
             loss_scaler_step(self.scaler, not skipped)
@@ -179,7 +140,7 @@ class TrainEngine:
         in fixed shard-index order.
         """
         scale = self.scaler.scale if self.scaler else 1.0
-        global_weights = self._loss_weights(batch)
+        global_weights = objectives.weights(self.params, self.model_cfg.family, batch)
         combined: dict[str, np.ndarray] = {}
         loss_total = 0.0
         # at least one pass, so that ``shard`` rejects n_shards < 1
@@ -229,17 +190,18 @@ def save_engine_checkpoint(path: str, engine: TrainEngine) -> None:
 
 def load_engine_checkpoint(path: str) -> TrainEngine:
     params, model_cfg, extra = load_checkpoint(path, slots=("adam_m", "adam_v"))
-    saved = extra["engine"]
-    engine_cfg = EngineConfig(
-        **{**saved, "schedule": TrainSchedule(**saved["schedule"]), "adam": AdamHyperparams(**saved["adam"])}
-    )
-    engine = TrainEngine(params, model_cfg, engine_cfg)
-    engine.step = extra["step"]
-    engine.optimizer.step = extra["optimizer_step"]
+    try:
+        saved = extra["engine"]
+        engine_cfg = EngineConfig(**{**saved, "schedule": TrainSchedule(**saved["schedule"])})
+        engine = TrainEngine(params, model_cfg, engine_cfg)
+        engine.step = extra["step"]
+        engine.optimizer.step = extra["optimizer_step"]
+        if engine.scaler is not None:
+            engine.scaler = LossScaler(**extra["scaler"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: cannot rebuild the engine from its record: {exc}") from None
     engine.optimizer.m = extra["adam_m"]
     engine.optimizer.v = extra["adam_v"]
-    if engine.scaler is not None:
-        engine.scaler = LossScaler(**extra["scaler"])
     return engine
 
 

@@ -22,12 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import tensor as T
+from . import objectives
 from .bpe import TokenizerVocab, encode
 from .data import PackedSequenceBatch
 from .engine import EngineConfig, StepMetrics, TrainEngine, train_loop
 from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, forward
-from .optim import AdamHyperparams, TrainSchedule
+from .optim import TrainSchedule
 from .tensor import Tensor
 
 HEAD_KINDS = ("pair-classifier", "single-classifier")
@@ -63,13 +63,16 @@ class ClassificationDataset:
 def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = None) -> ClassificationDataset:
     """Tab-separated file with a header naming text_a[, text_b], label."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        examples = []
-        for row in reader:
-            if row.get("text_a") is None or row.get("label") is None:
-                raise InputError(f"{path}: rows need text_a and label columns")
-            text_b = row.get("text_b")
-            examples.append(LabeledExample(row["text_a"], text_b if text_b else None, row["label"]))
+        try:
+            rows = list(csv.DictReader(fh, delimiter="\t"))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: unreadable tab-separated file: {exc}") from None
+    examples = []
+    for row in rows:
+        if row.get("text_a") is None or row.get("label") is None:
+            raise InputError(f"{path}: rows need text_a and label columns")
+        text_b = row.get("text_b")
+        examples.append(LabeledExample(row["text_a"], text_b if text_b else None, row["label"]))
     if label_vocab is None:
         label_vocab = sorted({ex.label for ex in examples})
     return ClassificationDataset(examples, split, label_vocab)
@@ -161,9 +164,7 @@ class FinetuneSettings:
     epochs: int = 3
     batch_size: int = 16
     max_steps: Optional[int] = None  # overrides the epoch-derived budget
-    weight_decay: float = 0.01
     seed: int = 0
-    recompute_activations: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -177,10 +178,6 @@ class FinetunedModel:
     head: str
     label_vocab: list[str]
     history: list[StepMetrics]
-
-
-def _head_logits(params: ModelParams, pooled: Tensor) -> Tensor:
-    return T.add(T.matmul(pooled, params["cls.w"]), params["cls.b"])
 
 
 def finetune(
@@ -227,22 +224,11 @@ def finetune(
         rows = np.array([picks[(offset + j) % n] for j in range(settings.batch_size)])
         return _classifier_batch(dataset, rows, vocab, cfg.max_seq_len)
 
-    def loss_fn(engine: TrainEngine, batch: PackedSequenceBatch, rng, normalizers):
-        out = forward(
-            engine.params, cfg, batch.ids, mode="train", rng=rng,
-            type_ids=batch.type_ids, attention_mask=batch.attention_mask,
-            recompute=settings.recompute_activations,
-        )
-        logits = _head_logits(engine.params, out.pooled)
-        return T.softmax_cross_entropy(logits, batch.sop_labels, np.ones(batch.batch_size), normalizers[0])
-
     engine_cfg = EngineConfig(
         schedule=TrainSchedule(settings.learning_rate, 0.0, warmup_steps=0, total_steps=max(total, 1), decay_shape="linear"),
-        adam=AdamHyperparams(weight_decay=settings.weight_decay),
-        recompute_activations=settings.recompute_activations,
         seed=settings.seed,
     )
-    engine = TrainEngine(full, cfg, engine_cfg, loss_fn=loss_fn, weights_fn=lambda b: (float(b.batch_size),))
+    engine = TrainEngine(full, cfg, engine_cfg)
     history = train_loop(engine, batch_fn, total)
     return FinetunedModel(full, cfg, head, list(dataset.label_vocab), history)
 
@@ -264,7 +250,7 @@ def predict(
             model.params, model.config, batch.ids, mode="eval",
             type_ids=batch.type_ids, attention_mask=batch.attention_mask,
         )
-        logits = _head_logits(model.params, out.pooled)
+        logits = objectives.classifier_logits(model.params, out.pooled)
         outputs[rows] = np.argmax(logits.data, axis=-1)
     return outputs
 

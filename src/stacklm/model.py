@@ -70,6 +70,10 @@ class ModelConfig:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n_layers < 0 or self.d_layer <= 0 or self.n_heads <= 0 or self.d_head <= 0:
             raise ConfigError("layer count must be >= 0 and widths positive")
+        if self.vocab_size <= 0:
+            raise ConfigError(f"vocab_size must be positive, got {self.vocab_size}")
+        if self.max_seq_len < 0:
+            raise ConfigError(f"max_seq_len must be >= 0 (0 = family default), got {self.max_seq_len}")
         if self.family == "encoder-decoder" and self.n_layers % 2 != 0:
             raise ConfigError(f"encoder-decoder needs an even layer count, got {self.n_layers}")
         if self.max_seq_len == 0:
@@ -396,7 +400,7 @@ def config_to_text(cfg: ModelConfig) -> str:
 def config_from_text(text: str, source: str = "<config>") -> ModelConfig:
     """Parse the ``key = value`` config grammar (``#`` starts a comment)."""
     known = {f.name: f.type for f in fields(ModelConfig)}
-    raw: dict[str, str] = {}
+    kwargs: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -406,30 +410,34 @@ def config_from_text(text: str, source: str = "<config>") -> ModelConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
-        raw[key] = value
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "family":
-            kwargs[key] = value
-        elif key == "dropout_p":
-            kwargs[key] = float(value)
-        elif key == "tie_embeddings":
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"{source}: tie_embeddings must be true or false, got {value!r}")
-            kwargs[key] = value.lower() == "true"
-        else:
-            kwargs[key] = int(value)
+        try:
+            if key == "family":
+                kwargs[key] = value
+            elif key == "dropout_p":
+                kwargs[key] = float(value)
+            elif key == "tie_embeddings":
+                if value.lower() not in ("true", "false"):
+                    raise ValueError(f"must be true or false, got {value!r}")
+                kwargs[key] = value.lower() == "true"
+            else:
+                kwargs[key] = int(value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from None
     try:
         return ModelConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_config(path: str) -> ModelConfig:
     with open(path, encoding="utf-8") as fh:
-        return config_from_text(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return config_from_text(text, source=path)
 
 
 def save_checkpoint(

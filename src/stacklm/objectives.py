@@ -1,11 +1,15 @@
-"""Training objectives for the three model families.
+"""Training objectives, and the one place that chooses which a step optimizes.
 
 ``lm_loss`` is causal next-token prediction (each position conditions on
 its prefix only); ``mlm_loss`` averages over corrupted positions, weighting
 every position by its loss-mask entry so untouched positions contribute
 nothing; ``sop_loss`` is the two-way segment-order head; ``seq2seq_loss``
 is next-token prediction over the target block given the encoded source.
-Encoder pretraining optimizes ``mlm_loss + sop_loss``.
+
+``loss`` chooses what a step optimizes: the classifier head's cross
+entropy when the parameters carry the fine-tune head (``cls.w``), else the
+family objective; encoder pretraining optimizes ``mlm_loss + sop_loss``.
+``weights`` gives its full-batch denominators.
 
 A loss called with an all-zero mask is defined as exactly zero, with a
 zero gradient.
@@ -17,6 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PackedSequenceBatch
+from .model import ModelOutput, ModelParams
 from .tensor import Tensor
 
 
@@ -49,3 +54,31 @@ def seq2seq_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float |
     if batch.target_out is None:
         raise ValueError("batch has no seq2seq targets")
     return T.softmax_cross_entropy(logits, batch.target_out, batch.loss_mask, normalizer)
+
+
+def classifier_logits(params: ModelParams, pooled: Tensor) -> Tensor:
+    """The fine-tune classification head over the pooled representation."""
+    return T.add(T.matmul(pooled, params["cls.w"]), params["cls.b"])
+
+
+def weights(params: ModelParams, family: str, batch: PackedSequenceBatch) -> tuple[float, ...]:
+    """Full-batch denominators of the loss components ``loss`` sums."""
+    if "cls.w" in params:
+        return (float(batch.batch_size),)
+    if family == "encoder-only":
+        return (float(batch.loss_mask.sum()), float(batch.batch_size))
+    if family == "decoder-only":
+        return (float(batch.loss_mask[..., 1:].sum()),)
+    return (float(batch.loss_mask.sum()),)
+
+
+def loss(params: ModelParams, family: str, out: ModelOutput, batch: PackedSequenceBatch, normalizers) -> Tensor:
+    """The training objective for ``out``, each component over its normalizer."""
+    if "cls.w" in params:
+        logits = classifier_logits(params, out.pooled)
+        return T.softmax_cross_entropy(logits, batch.sop_labels, np.ones(batch.batch_size), normalizers[0])
+    if family == "decoder-only":
+        return lm_loss(out.logits, batch, normalizers[0])
+    if family == "encoder-decoder":
+        return seq2seq_loss(out.logits, batch, normalizers[0])
+    return T.add(mlm_loss(out.logits, batch, normalizers[0]), sop_loss(out.sop_logits, batch, normalizers[1]))

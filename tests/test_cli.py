@@ -72,6 +72,25 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     np.savez(str(bad_checkpoints[-1]), unrelated=np.zeros(3))
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
     (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
+    (tmp_path / "negative.csv").write_text("model,time,steps,gpus\nTINY,1h,5K,-2\n")
+    (tmp_path / "infinite.csv").write_text("model,time,steps,gpus\nTINY,inf,5K,2\n")
+    # a field over the csv module's 131072-character limit, and bytes that are not UTF-8
+    (tmp_path / "long.csv").write_text("model,time,steps,gpus\n" + "T" * 140_000 + ",1h,5K,2\n")
+    (tmp_path / "latin1.csv").write_bytes("model,time,steps,gpus\ncaf\u00e9,1h,5K,2\n".encode("latin-1"))
+    (tmp_path / "long.tsv").write_text("text_a\ttext_b\tlabel\n" + "a" * 140_000 + "\tb\t1\n")
+    (tmp_path / "latin1.tsv").write_bytes("text_a\ttext_b\tlabel\ncaf\u00e9\tb\t1\n".encode("latin-1"))
+    # model configs with a bad vocabulary size, sequence length or value, and one that is not UTF-8
+    valid = "family = decoder-only\nn_layers = 2\nd_layer = 8\nn_heads = 2\nd_head = 4\nvocab_size = 99\n"
+    bad_configs = []
+    for name, text in (
+        ("vocab", valid.replace("vocab_size = 99", "vocab_size = -5")),
+        ("seq", valid + "max_seq_len = -4\n"),
+        ("depth", valid.replace("n_layers = 2", "n_layers = two")),
+    ):
+        bad_configs.append(tmp_path / f"{name}.cfg")
+        bad_configs[-1].write_text(text)
+    bad_configs.append(tmp_path / "latin1.cfg")
+    bad_configs[-1].write_bytes(valid.encode("utf-8") + "# caf\u00e9\n".encode("latin-1"))
     pretrain = ["pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS), "--toy"]
     cases = [
         pretrain + ["--steps", "0"],
@@ -85,7 +104,16 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--batch-size", "0"],
         ["cost", "--table", str(tmp_path / "no-steps.csv")],
         ["cost", "--table", str(tmp_path / "short-row.csv")],
+        ["cost", "--table", str(tmp_path / "negative.csv")],
+        ["cost", "--table", str(tmp_path / "infinite.csv")],
+        ["cost", "--table", str(tmp_path / "long.csv")],
+        ["cost", "--table", str(tmp_path / "latin1.csv")],
     ]
+    for bad in ("long.tsv", "latin1.tsv"):
+        cases.append(["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
+                      "--train", str(tmp_path / bad), "--dev", str(tsv), "--vocab", str(vocab_path)])
+    for bad in bad_configs:
+        cases.append(["count-params", "--config", str(bad)])
     for bad in bad_checkpoints:
         cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
         cases.append(["finetune", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--train", str(tsv)])

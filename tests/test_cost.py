@@ -127,13 +127,21 @@ def test_empty_report_is_header_only():
 
 def test_malformed_cost_table_names_file_row_and_column(tmp_path):
     tables = {
-        "no-steps.csv": ("model,time,gpus\nX,1h,1\n", "row 1: no value for column 'steps'"),
-        "short-row.csv": ("model,time,steps,gpus,reported_eflops\nX,1h,1K,1,\nY,2h\n", "row 2: no value for column"),
-        "bad-cell.csv": ("model,time,steps,gpus\nX,1h,1K,four\n", "row 1: column 'gpus'"),
+        "no-steps.csv": (b"model,time,gpus\nX,1h,1\n", "row 1: no value for column 'steps'"),
+        "short-row.csv": (b"model,time,steps,gpus,reported_eflops\nX,1h,1K,1,\nY,2h\n", "row 2: no value for column"),
+        "bad-cell.csv": (b"model,time,steps,gpus\nX,1h,1K,four\n", "row 1: column 'gpus'"),
+        "negative-gpus.csv": (b"model,time,steps,gpus\nX,1h,1K,-2\n", "row 1: column 'gpus'"),
+        "negative-time.csv": (b"model,time,steps,gpus\nX,-1.5,1K,2\n", "row 1: column 'time'"),
+        "negative-steps.csv": (b"model,time,steps,gpus\nX,1h,-1K,2\n", "row 1: column 'steps'"),
+        "infinite-steps.csv": (b"model,time,steps,gpus\nX,1h,inf,2\n", "row 1: column 'steps'"),
+        "infinite-time.csv": (b"model,time,steps,gpus\nX,inf,1K,2\n", "row 1: column 'time'"),
+        # a field over the csv module's 131072-character limit, and bytes that are not UTF-8
+        "long-field.csv": (b"model,time,steps,gpus\n" + b"X" * 140_000 + b",1h,1K,2\n", "unreadable CSV table"),
+        "latin1.csv": ("model,time,steps,gpus\ncaf\u00e9,1h,1K,2\n".encode("latin-1"), "unreadable CSV table"),
     }
-    for name, (text, detail) in tables.items():
+    for name, (raw, detail) in tables.items():
         path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(raw)
         with pytest.raises(CostError, match="^" + re.escape(f"{path}: {detail}")):
             load_cost_records(str(path))
 

@@ -16,7 +16,7 @@ from stacklm.engine import (
     train_loop,
 )
 from stacklm.model import ConfigError, ModelConfig, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
-from stacklm.optim import AdamHyperparams, TrainSchedule
+from stacklm.optim import TrainSchedule
 from stacklm.tensor import DropoutRng, Tape
 
 
@@ -27,7 +27,6 @@ def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False,
     params = build_model(cfg, seed=seed)
     engine_cfg = EngineConfig(
         schedule=TrainSchedule(1e-3, 1e-4, warmup_steps=5, total_steps=400),
-        adam=AdamHyperparams(),
         use_loss_scaler=scaler,
         recompute_activations=recompute,
         seed=seed,
@@ -186,7 +185,7 @@ def test_shard_compute_order_does_not_matter():
     _, params_b, engine_b = model_and_engine(seed=31)
     engine = engine_b
     batch = batch_fn(0)
-    global_weights = engine._loss_weights(batch)
+    global_weights = objectives.weights(engine.params, engine.model_cfg.family, batch)
     scale = engine.scaler.scale
     from stacklm.tensor import DropoutRng, Tape
     from stacklm import tensor as T
@@ -282,11 +281,7 @@ def test_engine_checkpoint_round_trips_non_default_config(tmp_path):
         cfg = ModelConfig("decoder-only", 2, d_layer=16, n_heads=2, d_head=8, vocab_size=31, max_seq_len=16)
         engine_cfg = EngineConfig(
             schedule=TrainSchedule(2e-3, 1e-5, warmup_steps=3, total_steps=50, decay_shape="linear"),
-            adam=AdamHyperparams(beta1=0.8, weight_decay=0.0),
-            max_grad_norm=0.5,
             use_loss_scaler=use_scaler,
-            initial_loss_scale=2.0**10,
-            scaler_growth_interval=7,
             recompute_activations=True,
             seed=13,
         )
@@ -336,6 +331,18 @@ def test_engine_checkpoint_rejects_seed_format_and_wrong_shapes(tmp_path):
     np.savez(legacy_path, **legacy)
     with pytest.raises(ConfigError):
         load_engine_checkpoint(legacy_path)
+
+    # an engine record with the Adam, clip and loss-scale fields that EngineConfig no longer has,
+    # and Adam slots without an engine record
+    meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+    stale = dict(meta["extra"]["engine"], adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01},
+                 max_grad_norm=1.0, initial_loss_scale=2.0**16, scaler_growth_interval=2000)
+    no_record = {key: value for key, value in meta["extra"].items() if key != "engine"}
+    for name, extra in (("stale", dict(meta["extra"], engine=stale)), ("no-record", no_record)):
+        edited = dict(arrays, meta=np.frombuffer(json.dumps(dict(meta, extra=extra)).encode("utf-8"), dtype=np.uint8))
+        np.savez(str(tmp_path / f"{name}.npz"), **edited)
+        with pytest.raises(ConfigError):
+            load_engine_checkpoint(str(tmp_path / f"{name}.npz"))
 
     bad = dict(arrays)
     bad["param:tok_emb"] = arrays["param:tok_emb"][:-1]

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stacklm.cost import reference_qqp_rows
@@ -94,6 +96,35 @@ def test_tsv_round_trip(tmp_path, write_tsv):
     assert loaded.label_vocab == ["0", "1"]
     assert [e.text_a for e in loaded.examples] == [e.text_a for e in ds.examples]
     assert [e.label for e in loaded.examples] == [e.label for e in ds.examples]
+
+
+def test_unreadable_tsv_is_input_error_naming_the_file(tmp_path):
+    cases = {
+        # one field longer than the csv module's default limit of 131072 characters
+        "long-field.tsv": ("text_a\ttext_b\tlabel\n" + "a" * 140_000 + "\tb\t1\n").encode("utf-8"),
+        "latin1.tsv": "text_a\ttext_b\tlabel\ncaf\u00e9\tb\t1\n".encode("latin-1"),
+    }
+    for name, raw in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match="^" + re.escape(str(path))):
+            load_tsv_dataset(str(path), "train")
+
+
+_TSV_BYTES = "text_a\ttext_b\tlabel\nazur \u00e9t\u00e9\tbleu\t1\ncedar dusk\tember\t0\n\"quoted\ttext\"\tx\t1\n".encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), junk=st.binary(min_size=1, max_size=4))
+def test_garbled_tsv_loads_or_raises_input_error(tmp_path, data, junk):
+    start = data.draw(st.integers(0, len(_TSV_BYTES) - 1), label="offset")
+    path = tmp_path / "garbled.tsv"
+    path.write_bytes(_TSV_BYTES[:start] + junk + _TSV_BYTES[start + len(junk) :])
+    try:
+        dataset = load_tsv_dataset(str(path), "train")
+    except InputError:
+        return
+    assert all(ex.label in dataset.label_vocab for ex in dataset.examples)
 
 
 def test_label_vocabulary_enforced():

@@ -1,8 +1,15 @@
+import re
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacklm import tensor as T
 from stacklm.model import (
+    FAMILIES,
     ConfigError,
     InputError,
     ModelConfig,
@@ -12,6 +19,7 @@ from stacklm.model import (
     count_params,
     forward,
     load_checkpoint,
+    load_config,
     parameter_inventory,
     save_checkpoint,
 )
@@ -295,6 +303,47 @@ def test_config_parse_errors():
         config_from_text("unknown_key = 3")
     with pytest.raises(ConfigError):
         config_from_text("family = decoder-only\nfamily = encoder-only")
+    valid = "family = decoder-only\nn_layers = 2\nd_layer = 8\nn_heads = 2\nd_head = 4\nvocab_size = 99\n"
+    for bad in ("vocab_size = -5", "vocab_size = 0"):
+        with pytest.raises(ConfigError, match="^t.cfg: vocab_size"):
+            config_from_text(valid.replace("vocab_size = 99", bad), source="t.cfg")
+    with pytest.raises(ConfigError, match="^t.cfg: max_seq_len"):
+        config_from_text(valid + "max_seq_len = -4", source="t.cfg")
+    # a value that fails to parse names the source, the line and the key
+    with pytest.raises(ConfigError, match="^t.cfg:2: n_layers: "):
+        config_from_text(valid.replace("n_layers = 2", "n_layers = two"), source="t.cfg")
+    with pytest.raises(ConfigError, match="^t.cfg:7: tie_embeddings: "):
+        config_from_text(valid + "tie_embeddings = maybe", source="t.cfg")
+
+
+def test_load_config_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("family = decoder-only  # caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="^" + re.escape(str(path))):
+        load_config(str(path))
+
+
+_CONFIG_LINES = st.tuples(
+    st.sampled_from([f.name for f in fields(ModelConfig)] + ["bogus"]),
+    st.sampled_from(["=", " = ", " "]),
+    st.one_of(
+        st.integers(-3, 2**70).map(str),
+        st.sampled_from(FAMILIES + ("true", "false", "nan", "1e400", "0.5")),
+        st.text(max_size=8),
+    ),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), st.lists(_CONFIG_LINES, max_size=10).map("\n".join)))
+def test_any_config_text_parses_or_raises_config_error(text):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mismatched head widths only warn
+            cfg = config_from_text(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ModelConfig)
 
 
 def test_config_comments_and_whitespace():
