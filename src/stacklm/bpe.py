@@ -37,6 +37,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 MARKER = "▁".encode("utf-8")
 
 SPECIAL_NAMES = ("end_of_document", "mask", "pad", "unknown", "splitter")
@@ -304,7 +306,7 @@ def save_vocab(vocab: TokenizerVocab, path: str) -> None:
     lines.append(f"specials {len(SPECIAL_NAMES)}")
     for name in SPECIAL_NAMES:
         lines.append(f"{name} {vocab.sentinels[name]}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -49,6 +49,7 @@ from .evaluation import (
     make_synthetic_pair_task,
     render_sweep_csv,
 )
+from .fileio import atomic_write
 from .model import (
     ModelConfig,
     build_model,
@@ -110,7 +111,7 @@ class RunDirectory:
             "started_unix": self.started,
             "finished_unix": time.time(),
         }
-        with open(self.file("manifest.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(self.file("manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -261,7 +262,7 @@ def _metrics_line(metrics) -> str:
 
 
 def _write_metrics_json(run: RunDirectory, metrics) -> None:
-    with open(run.file("metrics.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(run.file("metrics.json")) as fh:
         json.dump(dataclasses.asdict(metrics), fh, indent=2)
         fh.write("\n")
 
@@ -324,7 +325,7 @@ def cmd_sweep(args) -> int:
         run.finalize(args.seed)
         return 1
     csv_text = render_sweep_csv(name, result.rows)
-    with open(run.file("sweep.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(run.file("sweep.csv")) as fh:
         fh.write(csv_text)
     print(csv_text, end="")
     print(f"best depth by dev accuracy (ties to smaller): {result.best_depth}")
@@ -340,9 +341,9 @@ def cmd_cost(args) -> int:
     rows = cost_table(configs, records)
     report = render_cost_report(rows)
     print(report, end="")
-    with open(run.file("cost_report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(run.file("cost_report.txt")) as fh:
         fh.write(report)
-    with open(run.file("cost_report.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(run.file("cost_report.csv")) as fh:
         fh.write(render_cost_csv(rows))
     run.options = {"table": args.table or "<bundled>", "peak_rate": args.peak_rate}
     run.finalize(args.seed)

@@ -238,10 +238,14 @@ def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEA
                 steps=_cell(row, "steps", parse_count, where),
                 gpus=_cell(row, "gpus", lambda t: _finite_non_negative(int(t)), where),
                 peak_rate=peak_rate,
-                reported_eflops=_cell(row, "reported_eflops", lambda t: float(t) if t.strip() else None, where, ""),
+                reported_eflops=_cell(row, "reported_eflops", _optional_eflops, where, ""),
             )
         )
     return records
+
+
+def _optional_eflops(text: str) -> Optional[float]:
+    return _finite_non_negative(float(text)) if text.strip() else None
 
 
 def _cell(row: dict[str, Optional[str]], column: str, parse, where: str, default: Optional[str] = None):

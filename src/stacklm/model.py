@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .fileio import atomic_write
 from .tensor import DropoutRng, Tensor
 
 FAMILIES = ("decoder-only", "encoder-only", "encoder-decoder")
@@ -461,7 +462,7 @@ def save_checkpoint(
     for slot, values in (slots or {}).items():
         arrays.update({f"{slot}:{name}": a for name, a in values.items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
@@ -494,8 +495,10 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
     with archive:
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
-        if "config" not in meta:
-            raise ConfigError(f"{path}: checkpoint meta has no model config")
+        if not isinstance(meta.get("config"), str):
+            raise ConfigError(f"{path}: checkpoint meta has no model config text")
+        if not isinstance(meta.get("extra"), dict):
+            raise ConfigError(f"{path}: checkpoint meta has no 'extra' object")
         cfg = config_from_text(meta["config"], source=path)
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg)}
         arrays = _read_slot(archive, "param", expected)

@@ -15,7 +15,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 # Additive mask value for attention logits.  Large enough that exp() of a
 # masked score underflows to exactly 0.0 in both float32 and float64.
@@ -309,14 +308,78 @@ def sum_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Odd rational erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], the float32
+# approximation of Eigen and XLA; Horner order, highest power first.
+_ERF_P = (
+    -2.72614225801306e-10,
+    2.77068142495902e-08,
+    -2.10102402082508e-06,
+    -5.69250639462346e-05,
+    -7.34990630326855e-04,
+    -2.95459980854025e-03,
+    -1.60960333262415e-02,
+)
+_ERF_Q = (
+    -1.45660718464996e-05,
+    -2.13374055278905e-04,
+    -1.68282697438203e-03,
+    -7.37332916720468e-03,
+    -1.42647390514189e-02,
+)
+_erf64 = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def _horner(z2: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    acc = z2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z2
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, in the dtype of ``x``.
+
+    float32 evaluates the clamped rational in float32 (absolute error at
+    most 2**-21 against ``math.erf``: float32 rounding in P and Q, not the
+    fit, sets that floor).  Beyond |x| = 4, erf is 1 in float32.  Any other
+    dtype goes through ``math.erf`` element by element, in float64.
+    """
+    if x.dtype != np.float32:
+        return np.asarray(_erf64(x))
+    z = np.clip(x, -4.0, 4.0).reshape(-1)  # 1-D: ufuncs return 0-d results as scalars
+    z2 = z * z
+    p = _horner(z2, _ERF_P)
+    p *= z
+    p /= _horner(z2, _ERF_Q)
+    # rounding in P / Q can overshoot 1 by an ulp, which would push the
+    # gelu cdf outside [0, 1]
+    return np.clip(p, -1.0, 1.0, out=p).reshape(x.shape)
+
+
 def gelu(a: Tensor) -> Tensor:
+    """Exact (erf) GELU, x * Phi(x).
+
+    Phi(x) = (1 + erf(x / sqrt(2))) / 2; in float32 that erf is within
+    2**-21 (~4.8e-7) absolute of the exact value (see ``_erf``).  The
+    backward uses the exact normal density of the unclamped input.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        d = x * x
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _record((a,), out, backward)
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,15 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         bad_checkpoints[-1].write_bytes(raw[:cut])
     bad_checkpoints.append(tmp_path / "no-meta.npz")
     np.savez(str(bad_checkpoints[-1]), unrelated=np.zeros(3))
+    # meta records with a non-object or missing 'extra', or a non-text config
+    with np.load(str(tmp_path / "model.npz")) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    no_extra = {k: v for k, v in meta.items() if k != "extra"}
+    for i, bad_meta in enumerate(({**meta, "extra": 5}, {**meta, "extra": [1]}, no_extra, {**meta, "config": 123})):
+        bad_checkpoints.append(tmp_path / f"meta{i}.npz")
+        record = np.frombuffer(json.dumps(bad_meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(str(bad_checkpoints[-1]), **{**arrays, "meta": record})
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
     (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
     (tmp_path / "negative.csv").write_text("model,time,steps,gpus\nTINY,1h,5K,-2\n")
@@ -321,3 +332,20 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "parameters" in proc.stdout
+
+
+def test_import_needs_only_numpy():
+    """Importing the package loads nothing outside the standard library,
+    numpy and stacklm, and numpy is the only declared runtime dependency."""
+    code = (
+        "import sys; before = set(sys.modules); import stacklm.cli, stacklm.objectives; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "stacklm" in loaded and "numpy" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "stacklm"} == set()
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in deps] == ["numpy"]

@@ -1,7 +1,8 @@
+import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stacklm.cost import (
@@ -135,6 +136,8 @@ def test_malformed_cost_table_names_file_row_and_column(tmp_path):
         "negative-steps.csv": (b"model,time,steps,gpus\nX,1h,-1K,2\n", "row 1: column 'steps'"),
         "infinite-steps.csv": (b"model,time,steps,gpus\nX,1h,inf,2\n", "row 1: column 'steps'"),
         "infinite-time.csv": (b"model,time,steps,gpus\nX,inf,1K,2\n", "row 1: column 'time'"),
+        "negative-reported.csv": (b"model,time,steps,gpus,reported_eflops\nX,1h,1K,2,-1\n", "row 1: column 'reported_eflops'"),
+        "nan-reported.csv": (b"model,time,steps,gpus,reported_eflops\nX,1h,1K,2,nan\n", "row 1: column 'reported_eflops'"),
         # a field over the csv module's 131072-character limit, and bytes that are not UTF-8
         "long-field.csv": (b"model,time,steps,gpus\n" + b"X" * 140_000 + b",1h,1K,2\n", "unreadable CSV table"),
         "latin1.csv": ("model,time,steps,gpus\ncaf\u00e9,1h,1K,2\n".encode("latin-1"), "unreadable CSV table"),
@@ -154,3 +157,35 @@ def test_load_cost_records_from_file(tmp_path):
     assert records[0].steps == 10_000
     assert records[0].reported_eflops is None
     assert records[0].peak_rate == DEFAULT_PEAK_FLOPS
+
+
+_COST_CELLS = st.one_of(
+    st.sampled_from(
+        ["X", "1h", "45h38m", "2.5", "10K", "2.8M", "4", "", "-1", "nan", "inf", "-inf", "1e400", "1e308K",
+         '"', '""', "0x10", "1_000", " 7 ", "9" * 30]
+    ),
+    st.text(max_size=6),
+)
+# rows that are valid but for a few cells, and rows of any width
+_COST_ROWS = st.one_of(
+    st.tuples(*(st.one_of(st.just(v), _COST_CELLS) for v in ("X", "1h", "10K", "4", "3.5"))).map(",".join),
+    st.lists(_COST_CELLS, max_size=7).map(",".join),
+)
+_COST_TABLES = st.lists(_COST_ROWS, max_size=5).map(
+    lambda rows: "\n".join(["model,time,steps,gpus,reported_eflops"] + rows)
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.text(max_size=120), _COST_TABLES))
+def test_any_cost_table_text_loads_or_raises_cost_error(tmp_path, text):
+    path = tmp_path / "garbled.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        records = load_cost_records(str(path))
+    except CostError:
+        return
+    for r in records:
+        assert 0 <= r.wall_hours < math.inf and r.steps >= 0 and r.gpus >= 0
+        assert r.reported_eflops is None or 0 <= r.reported_eflops < math.inf
+    render_cost_report(cost_table(reference_model_configs(), records))

@@ -1,10 +1,11 @@
+import json
 import re
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stacklm import tensor as T
@@ -392,3 +393,38 @@ def test_truncated_or_foreign_checkpoint_is_config_error(tmp_path):
         np.savez(str(bad), **arrays)
         with pytest.raises(ConfigError, match="is not a stacklm checkpoint"):
             load_checkpoint(str(bad))
+
+
+def _checkpoint_with_meta(path, meta: bytes) -> None:
+    """A saved tiny encoder checkpoint whose meta record is replaced by ``meta``."""
+    cfg = tiny("encoder-only")
+    save_checkpoint(str(path), build_model(cfg, seed=0), cfg)
+    with np.load(str(path)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
+    np.savez(str(path), **arrays)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.data(),
+    junk=st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from([b"5", b"[1]", b"null", b"{}", b'"', b",", b"}", b"1.0", b"true"]),
+    ),
+)
+def test_garbled_meta_loads_or_raises_config_error(tmp_path, data, junk):
+    meta = {"version": 1, "config": config_to_text(tiny("encoder-only")), "extra": {"step": 7}}
+    raw = json.dumps(meta).encode("utf-8")
+    start = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    path = tmp_path / "garbled.npz"
+    _checkpoint_with_meta(path, raw[:start] + junk + raw[start + len(junk) :])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mismatched head widths only warn
+            params, cfg, extra = load_checkpoint(str(path))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ModelConfig) and isinstance(extra, dict)
+    for name, shape, _ in parameter_inventory(cfg):
+        assert params[name].shape == shape

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacklm import tensor as T
 from stacklm.tensor import Tape, Tensor
+
+erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def finite_difference(fn, arrays, wrt, h=1e-5):
@@ -462,6 +467,53 @@ def test_dropout_p_near_one_clamps_threshold():
         assert np.count_nonzero(mask) <= 1
         out = T.dropout(Tensor(np.ones((2, 1000), dtype=np.float32)), p, T.DropoutRng(0, 0, [0, 1]), 0, 0)
         assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# erf (the gelu kernel) against math.erf
+# ---------------------------------------------------------------------------
+
+ERF32_BOUND = 2.0**-21
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(width=32), min_size=1, max_size=24).map(lambda v: np.array(v, dtype=np.float32)),
+        st.lists(st.floats(), min_size=1, max_size=24).map(lambda v: np.array(v, dtype=np.float64)),
+    )
+)
+def test_erf_property_against_math_erf(x):
+    y = T._erf(x)
+    assert y.dtype == x.dtype and y.shape == x.shape
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(y), nan)
+    num, xs = y[~nan], x[~nan]
+    assert np.all(np.abs(num) <= 1.0)
+    mirrored = T._erf(-x)[~nan]
+    assert np.array_equal(mirrored, -num) and np.array_equal(np.signbit(mirrored), ~np.signbit(num))
+    exact = erf(xs.astype(np.float64))
+    if x.dtype == np.float32:
+        assert np.all(np.abs(num - exact) <= ERF32_BOUND)
+    else:
+        assert np.array_equal(num, exact)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_erf_signed_zero_infinity_and_nan(dtype):
+    y = T._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype))
+    assert y.dtype == dtype
+    assert list(y[:4]) == [0.0, 0.0, 1.0, -1.0]
+    assert list(np.signbit(y[:2])) == [False, True]
+    assert np.isnan(y[4])
+    assert T._erf(np.array(0.5, dtype=dtype)).shape == ()
+
+
+def test_erf_float32_dense_grid():
+    x = np.linspace(-6.0, 6.0, 400_001, dtype=np.float32)
+    y = T._erf(x)
+    assert np.abs(y - erf(x.astype(np.float64))).max() <= ERF32_BOUND
+    assert np.abs(y).max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
