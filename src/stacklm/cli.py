@@ -237,7 +237,7 @@ def cmd_finetune(args) -> int:
         run.file("finetuned.npz"), model.params, cfg,
         extra={"head": args.head, "label_vocab": model.label_vocab},
     )
-    with open(run.file("metrics.jsonl"), "w", encoding="utf-8") as fh:
+    with atomic_write(run.file("metrics.jsonl")) as fh:
         for m in model.history:
             write_metrics(fh, m)
     print(f"fine-tuned {len(model.history)} steps; head={args.head}; saved {run.file('finetuned.npz')}")
@@ -272,6 +272,8 @@ def cmd_eval(args) -> int:
     for role in ("checkpoint", "vocab", "data"):
         run.record_input(role, getattr(args, role))
     params, cfg, extra = load_checkpoint(args.checkpoint)
+    if "cls.w" not in params:
+        raise ValueError(f"{args.checkpoint} has no classifier head; evaluate a fine-tuned checkpoint")
     vocab = bpe.load_vocab(args.vocab)
     label_vocab = extra.get("label_vocab")
     dataset = load_tsv_dataset(args.data, args.split, label_vocab=label_vocab)
@@ -318,7 +320,7 @@ def cmd_sweep(args) -> int:
     try:
         result = depth_sweep(cfg, depths, vocab, train_set, dev_set, settings, build_seed=args.seed)
     except SweepError as exc:
-        with open(run.file("sweep_partial.csv"), "w", encoding="utf-8") as fh:
+        with atomic_write(run.file("sweep_partial.csv")) as fh:
             fh.write(render_sweep_csv(name, exc.partial))
         print(f"sweep aborted: {exc}", file=sys.stderr)
         print(f"partial results: {run.file('sweep_partial.csv')}", file=sys.stderr)

@@ -12,7 +12,9 @@ step runs one body, ``data_parallel_step`` (alias ``train_step``): every
 one of ``n_shards`` shard losses (default one) is normalized by the
 full-batch ``objectives.weights``, and shard gradients are summed in fixed
 shard-index order.  One shard is exactly the full-batch step; more shards
-equal it up to floating-point rounding.
+equal it up to floating-point rounding.  A parameter the loss never reached
+(a fine-tuned encoder's pretraining heads) has no gradient and is neither
+clipped nor updated.
 
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
@@ -101,14 +103,6 @@ class TrainEngine:
         )
         return objectives.loss(self.params, self.model_cfg.family, out, batch, normalizers)
 
-    # -- gradient plumbing ---------------------------------------------------
-
-    def _collect_grads(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for name, t in self.params.items():
-            grads[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return grads
-
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
         """One decision from the global norm of ``grads``, which carry the loss scale."""
         scale = self.scaler.scale if self.scaler else 1.0
@@ -152,11 +146,13 @@ class TrainEngine:
                 loss = self._forward_loss(shard, rng, global_weights)
                 scaled = T.scale(loss, scale) if self.scaler else loss
             tape.backward(scaled)
-            for name, grad in self._collect_grads().items():
+            for name, t in self.params.items():
+                if t.grad is None:
+                    continue
                 if name in combined:
-                    combined[name] += grad
+                    combined[name] += t.grad
                 else:
-                    combined[name] = grad
+                    combined[name] = t.grad
             loss_total += float(loss.data)
         self.params.zero_grads()
         return combined, loss_total

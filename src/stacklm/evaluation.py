@@ -22,11 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import objectives
 from .bpe import TokenizerVocab, encode
 from .data import PackedSequenceBatch
 from .engine import EngineConfig, StepMetrics, TrainEngine, train_loop
-from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, forward
+from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, classifier_head, forward
 from .optim import TrainSchedule
 from .tensor import Tensor
 
@@ -190,6 +189,11 @@ def finetune(
 ) -> FinetunedModel:
     """Append a zero-initialized classification head and train the stack.
 
+    The head replaces the pretraining heads as the model's output: the
+    masked-token and segment-order heads (and an untied ``lm_head``) are
+    neither run nor updated, and the returned parameters carry them exactly
+    as given.
+
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
     stops requiring ``text_b`` on every example.
 
@@ -202,11 +206,10 @@ def finetune(
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
     if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
         raise InputError("pair-classifier needs text_b on every example")
-    n_classes = len(dataset.label_vocab)
-    d = cfg.d_layer
+    dtype = params["tok_emb"].dtype
     tensors = dict(params.tensors)
-    tensors["cls.w"] = Tensor(np.zeros((d, n_classes), dtype=params["tok_emb"].dtype), requires_grad=True, name="cls.w")
-    tensors["cls.b"] = Tensor(np.zeros(n_classes, dtype=params["tok_emb"].dtype), requires_grad=True, name="cls.b")
+    for name, shape in classifier_head(cfg, len(dataset.label_vocab)).items():
+        tensors[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
     full = ModelParams(tensors)
 
     n = len(dataset)
@@ -250,8 +253,7 @@ def predict(
             model.params, model.config, batch.ids, mode="eval",
             type_ids=batch.type_ids, attention_mask=batch.attention_mask,
         )
-        logits = objectives.classifier_logits(model.params, out.pooled)
-        outputs[rows] = np.argmax(logits.data, axis=-1)
+        outputs[rows] = np.argmax(out.logits.data, axis=-1)
     return outputs
 
 

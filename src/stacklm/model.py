@@ -9,12 +9,15 @@ Self- and cross-attention differ only in their projections (a fused
 core.  Every stack (the single stack, the encoder and the decoder) is
 embedding, blocks and a final layer norm.  ``forward`` has one body and one
 output head; the encoder-only family adds its masked-token transform before
-that head and the pooler and segment-order head beside it.
+that head and the pooler and segment-order head beside it.  A fine-tuned
+encoder (one whose parameters carry ``classifier_head``) has the classifier
+over the pooled output as its only head: the pretraining heads do not run.
 
 ``parameter_inventory`` is the single source of truth for parameter names
 and shapes; ``build_model`` instantiates exactly that inventory and
 ``count_params`` sums it, so the analytic count always equals the
-instantiated element count.
+instantiated element count.  ``classifier_head`` names and shapes the
+fine-tune head, and a checkpoint loads exactly these names.
 
 Initialization: weights are drawn from Normal(0, 0.02); the projections
 feeding a residual connection (attention output, second MLP matrix,
@@ -168,6 +171,11 @@ def parameter_inventory(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     if not cfg.tie_embeddings:
         inv.append(("lm_head", (d, v), "normal"))
     return inv
+
+
+def classifier_head(cfg: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of the fine-tune classifier over an encoder's pooled output."""
+    return {"cls.w": (cfg.d_layer, n_classes), "cls.b": (n_classes,)}
 
 
 def count_params(cfg: ModelConfig) -> int:
@@ -334,6 +342,12 @@ def forward(
     Only the encoder-only family embeds ``type_ids``, and only the
     encoder-decoder family encodes a source.  ``mode`` is ``train``
     (dropout active, requires ``rng`` when dropout_p > 0) or ``eval``.
+
+    ``logits`` are over the vocabulary, except when ``params`` carry the
+    classifier head (``cls.w``): then they are the (batch, n_classes)
+    classifier logits over ``pooled``, ``sop_logits`` is None, and the
+    masked-token transform, vocabulary projection and segment-order head
+    do not run.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -370,14 +384,18 @@ def forward(
         params, cfg, ids, type_ids, prefix, layers, "final", mask, rng, recompute, embed_layer, enc_out, enc_mask
     )
 
-    h, sop_logits, pooled = x, None, None
+    sop_logits = pooled = None
+    if "cls.w" not in params:
+        h = _norm(T.gelu(_linear(x, params, "mlm", "_transform")), params, "mlm.ln") if cfg.family == "encoder-only" else x
+        logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["lm_head"])
+        if cfg.family == "encoder-only":
+            logits = T.add(logits, params["mlm.bias"])
     if cfg.family == "encoder-only":
-        h = _norm(T.gelu(_linear(x, params, "mlm", "_transform")), params, "mlm.ln")
-    logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["lm_head"])
-    if cfg.family == "encoder-only":
-        logits = T.add(logits, params["mlm.bias"])
         pooled = T.tanh(_linear(T.select(x, 0, 1), params, "pooler"))
-        sop_logits = _linear(pooled, params, "sop")
+        if "cls.w" in params:
+            logits = _linear(pooled, params, "cls")
+        else:
+            sop_logits = _linear(pooled, params, "sop")
     if squeeze:
         logits = T.reshape(logits, logits.shape[1:])
     return ModelOutput(logits, sop_logits, pooled)
@@ -473,8 +491,10 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict
         if not key.startswith(prefix):
             continue
         name = key[len(prefix):]
+        if name not in expected:
+            raise ConfigError(f"checkpoint has an unexpected {slot} array {name!r}")
         arr = archive[key]
-        if name in expected and arr.shape != expected[name]:
+        if arr.shape != expected[name]:
             raise ConfigError(f"checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
         arrays[name] = arr.copy()
     missing = set(expected) - set(arrays)
@@ -485,7 +505,11 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict
 
 def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams, ModelConfig, dict]:
     """Parameters, config and ``extra``; each requested slot is added to
-    ``extra`` as a name -> array dict, shape-checked against the parameters."""
+    ``extra`` as a name -> array dict, shape-checked against the parameters.
+
+    The parameters are exactly the config's inventory, plus the
+    ``classifier_head`` of an encoder whose checkpoint carries ``cls.w``.
+    """
     try:
         archive = np.load(path)
         meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
@@ -493,7 +517,7 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
     except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
         raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
     with archive:
-        if version != CHECKPOINT_VERSION:
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
         if not isinstance(meta.get("config"), str):
             raise ConfigError(f"{path}: checkpoint meta has no model config text")
@@ -501,6 +525,9 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
             raise ConfigError(f"{path}: checkpoint meta has no 'extra' object")
         cfg = config_from_text(meta["config"], source=path)
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg)}
+        if cfg.family == "encoder-only" and "param:cls.w" in archive.files:
+            cls_shape = archive["param:cls.w"].shape
+            expected.update(classifier_head(cfg, cls_shape[-1] if cls_shape else 0))
         arrays = _read_slot(archive, "param", expected)
         shapes = {name: arr.shape for name, arr in arrays.items()}
         extra = dict(meta["extra"], **{slot: _read_slot(archive, slot, shapes) for slot in slots})

@@ -6,9 +6,10 @@ every position by its loss-mask entry so untouched positions contribute
 nothing; ``sop_loss`` is the two-way segment-order head; ``seq2seq_loss``
 is next-token prediction over the target block given the encoded source.
 
-``loss`` chooses what a step optimizes: the classifier head's cross
-entropy when the parameters carry the fine-tune head (``cls.w``), else the
-family objective; encoder pretraining optimizes ``mlm_loss + sop_loss``.
+``loss`` chooses what a step optimizes: the cross entropy of the
+classifier logits that ``model.forward`` returns when the parameters carry
+the fine-tune head (``cls.w``), else the family objective; encoder
+pretraining optimizes ``mlm_loss + sop_loss``.
 ``weights`` gives its full-batch denominators.
 
 A loss called with an all-zero mask is defined as exactly zero, with a
@@ -56,11 +57,6 @@ def seq2seq_loss(logits: Tensor, batch: PackedSequenceBatch, normalizer: float |
     return T.softmax_cross_entropy(logits, batch.target_out, batch.loss_mask, normalizer)
 
 
-def classifier_logits(params: ModelParams, pooled: Tensor) -> Tensor:
-    """The fine-tune classification head over the pooled representation."""
-    return T.add(T.matmul(pooled, params["cls.w"]), params["cls.b"])
-
-
 def weights(params: ModelParams, family: str, batch: PackedSequenceBatch) -> tuple[float, ...]:
     """Full-batch denominators of the loss components ``loss`` sums."""
     if "cls.w" in params:
@@ -75,8 +71,7 @@ def weights(params: ModelParams, family: str, batch: PackedSequenceBatch) -> tup
 def loss(params: ModelParams, family: str, out: ModelOutput, batch: PackedSequenceBatch, normalizers) -> Tensor:
     """The training objective for ``out``, each component over its normalizer."""
     if "cls.w" in params:
-        logits = classifier_logits(params, out.pooled)
-        return T.softmax_cross_entropy(logits, batch.sop_labels, np.ones(batch.batch_size), normalizers[0])
+        return T.softmax_cross_entropy(out.logits, batch.sop_labels, np.ones(batch.batch_size), normalizers[0])
     if family == "decoder-only":
         return lm_loss(out.logits, batch, normalizers[0])
     if family == "encoder-decoder":

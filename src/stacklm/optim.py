@@ -117,13 +117,17 @@ class OptimizerState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update with decoupled weight decay."""
+    """One bias-corrected Adam update with decoupled weight decay.
+
+    Only the parameters ``grads`` names are updated; the others, and their
+    moments, are left as they are.
+    """
     h = state.hyper
     state.step += 1
     c1 = 1.0 - h.beta1 ** state.step
     c2 = 1.0 - h.beta2 ** state.step
-    for name, tensor in params.items():
-        g = grads[name]
+    for name, g in grads.items():
+        tensor = params[name]
         if g.shape != tensor.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {tensor.shape}")
         if state.decay[name] and h.weight_decay != 0.0 and lr != 0.0:

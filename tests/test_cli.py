@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -81,6 +82,10 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         bad_checkpoints.append(tmp_path / f"meta{i}.npz")
         record = np.frombuffer(json.dumps(bad_meta).encode("utf-8"), dtype=np.uint8)
         np.savez(str(bad_checkpoints[-1]), **{**arrays, "meta": record})
+    # a 2-layer checkpoint whose config was edited to 1 layer, and one with no classifier head to evaluate
+    deeper = dataclasses.replace(cfg, n_layers=2)
+    save_checkpoint(str(tmp_path / "deeper.npz"), build_model(deeper, seed=0), cfg)
+    bad_evals = [tmp_path / "deeper.npz", tmp_path / "model.npz"]
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
     (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
     (tmp_path / "negative.csv").write_text("model,time,steps,gpus\nTINY,1h,5K,-2\n")
@@ -128,6 +133,8 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     for bad in bad_checkpoints:
         cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
         cases.append(["finetune", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--train", str(tsv)])
+    for bad in bad_evals:
+        cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
     for i, argv in enumerate(cases):
         rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
         assert rc == 1, argv

@@ -167,6 +167,13 @@ def test_single_shard_is_exactly_train_step():
             assert np.array_equal(t.data, ref_params[name].data), (family, name)
 
 
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_pretraining_reaches_every_parameter(family):
+    _, params, engine = model_and_engine(family=family, seed=31)
+    grads, _ = engine.compute_gradients(family_batches(family)(0), n_shards=2)
+    assert list(grads) == params.names()
+
+
 def test_non_divisible_shards_rejected():
     _, _, engine = model_and_engine()
     batch = lm_batches()(0)  # batch of 4
@@ -199,7 +206,7 @@ def test_shard_compute_order_does_not_matter():
             loss = engine._forward_loss(shard, rng, normalizers=global_weights)
             scaled = T.scale(loss, scale)
         tape.backward(scaled)
-        shard_grads[index] = engine._collect_grads()
+        shard_grads[index] = {name: t.grad for name, t in engine.params.items() if t.grad is not None}
     combined = {}
     for name in engine.params.names():
         combined[name] = shard_grads[0][name] + shard_grads[1][name]

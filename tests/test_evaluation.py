@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stacklm.evaluation as evaluation_mod
 from stacklm.cost import reference_qqp_rows
+from stacklm.engine import TrainEngine
 from stacklm.evaluation import (
     ClassificationDataset,
     EvalMetrics,
@@ -154,6 +156,33 @@ def test_finetune_rejects_wrong_family(vocab):
     ds = make_synthetic_pair_task(8, seed=0)
     with pytest.raises(ConfigError):
         finetune(params, cfg, vocab, ds, "pair-classifier", FinetuneSettings(max_steps=1))
+
+
+def test_finetune_leaves_pretraining_heads_and_their_moments_untouched(vocab, monkeypatch):
+    engines = []
+
+    class RecordingEngine(TrainEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(evaluation_mod, "TrainEngine", RecordingEngine)
+    cfg = encoder_cfg(vocab, dropout=0.1)
+    params = build_model(cfg, seed=3)
+    before = {name: t.data.copy() for name, t in params.items()}
+    # the zero head passes no gradient to the body on step 1, and the linear schedule
+    # reaches lr 0 on the last step, so step 2 is the first to update the body
+    model = finetune(params, cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
+                     FinetuneSettings(learning_rate=1e-3, max_steps=3, batch_size=4))
+    (engine,) = engines
+    heads = [name for name in before if name.startswith(("mlm.", "sop."))]
+    assert len(heads) == 7
+    for name in heads:
+        assert np.array_equal(model.params[name].data, before[name]), name
+        assert not engine.optimizer.m[name].any() and not engine.optimizer.v[name].any(), name
+    for name in ("pooler.w", "block0.mlp.w_fc", "tok_emb"):
+        assert not np.array_equal(model.params[name].data, before[name]), name
+    assert model.params["cls.w"].data.any()
 
 
 def test_zero_steps_gives_majority_class_baseline(vocab):

@@ -1,7 +1,7 @@
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from stacklm.model import (
     ConfigError,
     InputError,
     ModelConfig,
+    ModelParams,
     build_model,
+    classifier_head,
     config_from_text,
     config_to_text,
     count_params,
@@ -24,7 +26,7 @@ from stacklm.model import (
     parameter_inventory,
     save_checkpoint,
 )
-from stacklm.tensor import DropoutRng, Tape
+from stacklm.tensor import DropoutRng, Tape, Tensor
 
 
 def tiny(family, n_layers=2, vocab=13, **kw):
@@ -177,6 +179,30 @@ def test_encoder_only_outputs_auxiliary_heads():
     assert out.logits.shape == (1, 4, cfg.vocab_size)
     assert out.sop_logits.shape == (1, 2)
     assert out.pooled.shape == (1, cfg.d_layer)
+
+
+def with_classifier(params, cfg, n_classes, seed=1):
+    """``params`` plus a random ``classifier_head`` of ``n_classes``."""
+    rng = np.random.default_rng(seed)
+    head = {
+        name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True, name=name)
+        for name, shape in classifier_head(cfg, n_classes).items()
+    }
+    return ModelParams({**params.tensors, **head})
+
+
+def test_classifier_head_is_the_only_output_head():
+    cfg = tiny("encoder-only")
+    params = with_classifier(build_model(cfg, seed=0), cfg, n_classes=3)
+    with Tape() as tape:
+        out = forward(params, cfg, np.array([[1, 2, 3, 4], [4, 3, 2, 1]]), mode="train", rng=DropoutRng(0, 0, [0, 1]))
+    assert out.logits.shape == (2, 3)
+    assert out.sop_logits is None
+    expected = out.pooled.data @ params["cls.w"].data + params["cls.b"].data
+    assert np.allclose(out.logits.data, expected, rtol=1e-6, atol=1e-6)
+    read = {t.name for node in tape._nodes for t in node.inputs if t.name}
+    assert {"pooler.w", "cls.w", "cls.b"} <= read
+    assert not [name for name in read if name.startswith(("mlm.", "sop."))], read
 
 
 def test_overlong_sequence_rejected():
@@ -392,6 +418,40 @@ def test_truncated_or_foreign_checkpoint_is_config_error(tmp_path):
     for arrays in ({"param:tok_emb": np.zeros((13, 8))}, {"meta": np.frombuffer(b"[1]", dtype=np.uint8)}):
         np.savez(str(bad), **arrays)
         with pytest.raises(ConfigError, match="is not a stacklm checkpoint"):
+            load_checkpoint(str(bad))
+    # True == 1 and 1.0 == 1 in Python, but only the integer is version 1
+    for version in (True, 1.0):
+        meta = {"version": version, "config": config_to_text(cfg), "extra": {}}
+        _checkpoint_with_meta(bad, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(ConfigError, match="unsupported checkpoint version"):
+            load_checkpoint(str(bad))
+
+
+def test_checkpoint_loads_exactly_the_expected_parameters(tmp_path):
+    cfg = tiny("encoder-only")
+    tuned = with_classifier(build_model(cfg, seed=0), cfg, n_classes=3)
+    path = tmp_path / "tuned.npz"
+    save_checkpoint(str(path), tuned, cfg)
+    loaded, _, _ = load_checkpoint(str(path))
+    assert loaded.names() == tuned.names()
+    for name, t in tuned.items():
+        assert np.array_equal(loaded[name].data, t.data), name
+
+    with np.load(str(path)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    shallower = dict(meta, config=config_to_text(replace(cfg, n_layers=1)))
+    edits = (
+        # the 2-layer arrays under a 1-layer config: block1.* is not in its inventory
+        ({**arrays, "meta": np.frombuffer(json.dumps(shallower).encode("utf-8"), dtype=np.uint8)}, "block1"),
+        ({**arrays, "param:cls.b": arrays["param:cls.b"][:-1]}, "cls.b"),
+        ({key: a for key, a in arrays.items() if key != "param:cls.w"}, "cls.b"),
+        ({**arrays, "param:stray": np.zeros(3)}, "stray"),
+    )
+    bad = tmp_path / "bad.npz"
+    for edited, name in edits:
+        np.savez(str(bad), **edited)
+        with pytest.raises(ConfigError, match=name):
             load_checkpoint(str(bad))
 
 
