@@ -2,7 +2,8 @@
 
 Every invocation owns one run directory (``--out``, defaulting to
 ``$STACKLM_OUT_ROOT/<command>`` or ``./runs/<command>``) and writes exactly
-one ``manifest.json`` there: the command, every resolved option, the seed,
+one ``manifest.json`` there: the command, every parsed option (plus what
+the command resolves from them, such as a model config), the seed,
 the toolkit version, SHA-256 hashes of the file inputs and start/end
 timestamps.  A rerun with an equal manifest produces equal outputs.
 
@@ -83,16 +84,16 @@ def _sha256(path: str) -> str:
 
 
 class RunDirectory:
-    """Owns one output directory and its manifest."""
+    """Owns one output directory and its manifest, which records every parsed option."""
 
-    def __init__(self, command: str, out: Optional[str]):
+    def __init__(self, args: argparse.Namespace):
         root = os.environ.get("STACKLM_OUT_ROOT", "runs")
-        self.path = Path(out) if out else Path(root) / command
+        self.path = Path(args.out) if args.out else Path(root) / args.command
         self.path.mkdir(parents=True, exist_ok=True)
-        self.command = command
+        self.command = args.command
         self.started = time.time()
         self.inputs: dict[str, str] = {}
-        self.options: dict[str, object] = {}
+        self.options: dict[str, object] = {k: v for k, v in vars(args).items() if k != "fn"}
 
     def record_input(self, role: str, path: Optional[str]) -> None:
         if path:
@@ -142,9 +143,8 @@ def _resolve_vocab(args, run: RunDirectory, corpus_docs: list[str], target: int)
 
 
 def cmd_tokenize_train(args) -> int:
-    run = RunDirectory("tokenize-train", args.out)
+    run = RunDirectory(args)
     run.record_input("corpus", args.corpus)
-    run.options = {"corpus": args.corpus, "vocab_size": args.vocab_size}
     docs = datap.read_documents(args.corpus)
     vocab = bpe.train_bpe(docs, args.vocab_size)
     bpe.save_vocab(vocab, run.file("vocab.txt"))
@@ -168,7 +168,7 @@ def cmd_pretrain(args) -> int:
     for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    run = RunDirectory("pretrain", args.out)
+    run = RunDirectory(args)
     run.record_input("config", args.config)
     run.record_input("corpus", args.corpus)
     cfg = load_config(args.config)
@@ -180,12 +180,7 @@ def cmd_pretrain(args) -> int:
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
 
     batch_size = args.batch_size or (TOY_PROFILE["batch_size"] if args.toy else 8)
-    run.options = {
-        "config": args.config, "corpus": args.corpus, "steps": args.steps,
-        "batch_size": batch_size, "toy": args.toy, "shards": args.shards,
-        "recompute": args.recompute, "loss_scaler": not args.no_loss_scaler,
-        "resolved_model_config": dataclasses.asdict(cfg),
-    }
+    run.options.update(batch_size=batch_size, resolved_model_config=dataclasses.asdict(cfg))
 
     streams = datap.encode_corpus(docs, vocab)
     packed = datap.pack_documents(streams, cfg.max_seq_len, vocab.eod_id, vocab.pad_id)
@@ -218,7 +213,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    run = RunDirectory("finetune", args.out)
+    run = RunDirectory(args)
     for role in ("checkpoint", "vocab", "train", "dev"):
         run.record_input(role, getattr(args, role, None))
     params, cfg, _ = load_checkpoint(args.checkpoint)
@@ -228,10 +223,7 @@ def cmd_finetune(args) -> int:
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         max_steps=args.steps, seed=args.seed,
     )
-    run.options = {
-        "checkpoint": args.checkpoint, "train": args.train, "dev": args.dev,
-        "head": args.head, "settings": dataclasses.asdict(settings),
-    }
+    run.options["settings"] = dataclasses.asdict(settings)
     model = finetune(params, cfg, vocab, train_set, args.head, settings)
     save_checkpoint(
         run.file("finetuned.npz"), model.params, cfg,
@@ -268,7 +260,7 @@ def _write_metrics_json(run: RunDirectory, metrics) -> None:
 
 
 def cmd_eval(args) -> int:
-    run = RunDirectory("eval", args.out)
+    run = RunDirectory(args)
     for role in ("checkpoint", "vocab", "data"):
         run.record_input(role, getattr(args, role))
     params, cfg, extra = load_checkpoint(args.checkpoint)
@@ -279,7 +271,6 @@ def cmd_eval(args) -> int:
     dataset = load_tsv_dataset(args.data, args.split, label_vocab=label_vocab)
     model = FinetunedModel(params, cfg, extra.get("head", "pair-classifier"), label_vocab or dataset.label_vocab, [])
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
-    run.options = {"checkpoint": args.checkpoint, "data": args.data, "split": args.split}
     print(_metrics_line(metrics))
     _write_metrics_json(run, metrics)
     run.finalize(args.seed)
@@ -287,7 +278,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run = RunDirectory("sweep", args.out)
+    run = RunDirectory(args)
     run.record_input("config", args.config)
     cfg = load_config(args.config)
     if args.toy:
@@ -312,10 +303,7 @@ def cmd_sweep(args) -> int:
     settings = FinetuneSettings(
         learning_rate=args.lr, max_steps=args.budget, batch_size=args.batch_size, seed=args.seed
     )
-    run.options = {
-        "config": args.config, "depths": depths, "budget": args.budget,
-        "toy": args.toy, "settings": dataclasses.asdict(settings),
-    }
+    run.options["settings"] = dataclasses.asdict(settings)
     name = Path(args.config).stem
     try:
         result = depth_sweep(cfg, depths, vocab, train_set, dev_set, settings, build_seed=args.seed)
@@ -336,7 +324,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    run = RunDirectory("cost", args.out)
+    run = RunDirectory(args)
     run.record_input("table", args.table)
     records = load_cost_records(args.table, peak_rate=args.peak_rate)
     configs = reference_model_configs()
@@ -347,17 +335,17 @@ def cmd_cost(args) -> int:
         fh.write(report)
     with atomic_write(run.file("cost_report.csv")) as fh:
         fh.write(render_cost_csv(rows))
-    run.options = {"table": args.table or "<bundled>", "peak_rate": args.peak_rate}
+    run.options["table"] = args.table or "<bundled>"
     run.finalize(args.seed)
     return 0
 
 
 def cmd_count_params(args) -> int:
-    run = RunDirectory("count-params", args.out)
+    run = RunDirectory(args)
     run.record_input("config", args.config)
     cfg = load_config(args.config)
     total = count_params(cfg)
-    run.options = {"config": args.config, "count": total}
+    run.options["count"] = total
     print(f"{total} parameters ({total:.4g}) for {Path(args.config).stem}: "
           f"{cfg.family}, {cfg.n_layers} layers, d={cfg.d_layer}, vocab={cfg.vocab_size}")
     run.finalize(args.seed)

@@ -5,6 +5,11 @@ block.  Encoded documents are packed greedily into fixed-length sequences
 (in corpus order, separated by the end-of-document token); the final partial
 sequence is padded and its pad positions carry zero loss weight.
 
+A pretraining batch aligns its targets with the logits: ``targets[b, t]`` is
+what position ``t`` predicts and ``loss_mask[b, t]`` weighs it, so every
+family's objective is one weighted cross entropy.  A causal batch's last
+position gets target 0 and weight 0, as pads do.
+
 Batch construction is deterministic: the content of batch ``k`` depends
 only on (packed corpus, seed, k), never on timing, so sharded and replayed
 runs see identical data.
@@ -33,15 +38,14 @@ class PackedSequenceBatch:
     """One training batch; optional fields depend on the objective."""
 
     ids: np.ndarray                       # (batch, seq_len) int64
-    loss_mask: np.ndarray                 # (batch, seq_len) float
+    loss_mask: np.ndarray                 # (batch, seq_len) weight of each position's target
     example_ids: np.ndarray               # (batch,) global sequence indices
-    mlm_targets: Optional[np.ndarray] = None   # original ids where corrupted
-    sop_labels: Optional[np.ndarray] = None    # (batch,) 1 = original order
+    targets: Optional[np.ndarray] = None  # (batch, seq_len) target id at each position
+    labels: Optional[np.ndarray] = None   # (batch,) segment order (1 = original) or class id
     type_ids: Optional[np.ndarray] = None      # (batch, seq_len) segment markers
     attention_mask: Optional[np.ndarray] = None  # (batch, seq_len) 1 = attendable
     source_ids: Optional[np.ndarray] = None    # (batch, src_len) for seq2seq
     source_mask: Optional[np.ndarray] = None   # (batch, src_len) 1 = real token
-    target_out: Optional[np.ndarray] = None    # (batch, seq_len) seq2seq targets
 
     @property
     def batch_size(self) -> int:
@@ -206,7 +210,7 @@ def apply_whole_word_ngram_mask(
                     ids[r, pos] = vocab.mask_id
                 elif u < policy.mask_prob + policy.random_prob:
                     ids[r, pos] = int(rng.integers(content_base, vocab.size))
-    return replace(batch, ids=ids, loss_mask=loss_mask, mlm_targets=targets)
+    return replace(batch, ids=ids, loss_mask=loss_mask, targets=targets)
 
 
 def make_sop_example(
@@ -231,9 +235,15 @@ def _rows_for_batch(n_rows: int, batch_index: int, batch_size: int) -> np.ndarra
 
 
 def make_lm_batch(packed: tuple[np.ndarray, np.ndarray], batch_index: int, batch_size: int) -> PackedSequenceBatch:
+    """Causal batch: position ``t`` predicts token ``t + 1``."""
     ids, mask = packed
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
-    return PackedSequenceBatch(ids=ids[rows], loss_mask=mask[rows], example_ids=rows)
+    ids, mask = ids[rows], mask[rows]
+    targets = np.zeros_like(ids)
+    targets[:, :-1] = ids[:, 1:]
+    loss_mask = np.zeros_like(mask)
+    loss_mask[:, :-1] = mask[:, 1:]
+    return PackedSequenceBatch(ids=ids, loss_mask=loss_mask, example_ids=rows, targets=targets)
 
 
 def make_mlm_batch(
@@ -270,7 +280,7 @@ def make_mlm_batch(
         ids=out_ids,
         loss_mask=out_mask,
         example_ids=rows,
-        sop_labels=labels,
+        labels=labels,
         type_ids=type_ids,
     )
     boundaries = [word_spans(out_ids[j], vocab.special_ids) for j in range(batch_size)]
@@ -287,7 +297,7 @@ def make_seq2seq_batch(
     """Split each packed sequence into source and target halves.
 
     The decoder input is the target shifted right behind an end-of-document
-    start sentinel; ``target_out`` holds the aligned next-token targets.
+    start sentinel, so ``targets`` is the target block itself.
     """
     ids, mask = packed
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
@@ -303,5 +313,5 @@ def make_seq2seq_batch(
         example_ids=rows,
         source_ids=src,
         source_mask=src_mask,
-        target_out=tgt,
+        targets=tgt,
     )

@@ -3,8 +3,9 @@
 A step runs one training forward (optionally discarding per-layer
 activations and recomputing them during backward), takes the loss that
 ``objectives.loss`` chooses, for pretraining and fine-tuning alike, and
-backpropagates it scaled.  One number then decides the update: the global
-L2 norm of the summed, still scaled gradients, divided by the loss scale.
+backpropagates it with the loss scale as the seed gradient.  One number
+then decides the update: the global L2 norm of the summed, still scaled
+gradients, divided by the loss scale.
 A non-finite norm skips the step, with or without the loss scaler, and
 backs the scaler off; otherwise one multiply unscales and clips the
 gradients to norm 1 and one Adam update runs at the scheduled rate.  Every
@@ -32,7 +33,6 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from . import objectives
-from . import tensor as T
 from .data import PackedSequenceBatch
 from .model import ConfigError, ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
 from .optim import (
@@ -101,7 +101,7 @@ class TrainEngine:
             type_ids=batch.type_ids, attention_mask=batch.attention_mask,
             source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
         )
-        return objectives.loss(self.params, self.model_cfg.family, out, batch, normalizers)
+        return objectives.loss(self.params, out, batch, normalizers)
 
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
         """One decision from the global norm of ``grads``, which carry the loss scale."""
@@ -134,7 +134,7 @@ class TrainEngine:
         in fixed shard-index order.
         """
         scale = self.scaler.scale if self.scaler else 1.0
-        global_weights = objectives.weights(self.params, self.model_cfg.family, batch)
+        global_weights = objectives.weights(self.params, batch)
         combined: dict[str, np.ndarray] = {}
         loss_total = 0.0
         # at least one pass, so that ``shard`` rejects n_shards < 1
@@ -144,8 +144,7 @@ class TrainEngine:
             rng = DropoutRng(self.cfg.seed, self.step, shard.example_ids)
             with Tape() as tape:
                 loss = self._forward_loss(shard, rng, global_weights)
-                scaled = T.scale(loss, scale) if self.scaler else loss
-            tape.backward(scaled)
+            tape.backward(loss, seed_grad=scale)
             for name, t in self.params.items():
                 if t.grad is None:
                     continue

@@ -146,7 +146,7 @@ def _classifier_batch(
         ids=ids,
         loss_mask=attend,
         example_ids=rows,
-        sop_labels=labels,
+        labels=labels,
         type_ids=types,
         attention_mask=attend,
     )
@@ -227,8 +227,9 @@ def finetune(
         rows = np.array([picks[(offset + j) % n] for j in range(settings.batch_size)])
         return _classifier_batch(dataset, rows, vocab, cfg.max_seq_len)
 
+    # decay to zero one step past the budget: the engine takes step k at lr_at(k + 1)
     engine_cfg = EngineConfig(
-        schedule=TrainSchedule(settings.learning_rate, 0.0, warmup_steps=0, total_steps=max(total, 1), decay_shape="linear"),
+        schedule=TrainSchedule(settings.learning_rate, 0.0, warmup_steps=0, total_steps=max(total, 1) + 1, decay_shape="linear"),
         seed=settings.seed,
     )
     engine = TrainEngine(full, cfg, engine_cfg)

@@ -293,6 +293,15 @@ def test_finetune_eval_round_trip(tmp_path, write_tsv):
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert payload["confusion"]
 
+    # an option that changes the metrics is in the manifest
+    rc = main([
+        "eval", "--checkpoint", str(ft_out / "finetuned.npz"), "--vocab", str(vocab_path),
+        "--data", str(dev_tsv), "--positive-label", "0", "--out", str(tmp_path / "ev0"),
+    ])
+    assert rc == 0
+    options = [json.loads((d / "manifest.json").read_text())["options"] for d in (ev_out, tmp_path / "ev0")]
+    assert [o["positive_label"] for o in options] == [None, "0"]
+
 
 def test_sweep_bundled_task(tmp_path, capsys):
     out = tmp_path / "run"
@@ -306,6 +315,20 @@ def test_sweep_bundled_task(tmp_path, capsys):
     assert lines[0] == "model,depth,precision,recall,f1,acc"
     assert len(lines) == 3
     assert "best depth" in capsys.readouterr().out
+
+
+def test_sweep_manifest_records_every_option(tmp_path):
+    options = []
+    for examples in ("16", "48"):
+        out = tmp_path / examples
+        rc = main([
+            "sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
+            "--budget", "1", "--task-examples", examples, "--out", str(out),
+        ])
+        assert rc == 0
+        options.append(json.loads((out / "manifest.json").read_text())["options"])
+    assert options[0]["task_examples"] == 16 and options[1]["task_examples"] == 48
+    assert options[0]["settings"] == options[1]["settings"]
 
 
 def test_sweep_abort_dumps_partial_and_exits_nonzero(tmp_path, capsys):

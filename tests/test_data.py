@@ -167,7 +167,7 @@ def test_mlm_targets_hold_original_ids(vocab):
     batch = batch_of([row])
     spans = [word_spans(batch.ids[0], vocab.special_ids)]
     out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, 4)
-    assert out.mlm_targets.tolist() == [row]
+    assert out.targets.tolist() == [row]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_mlm_loss_uniform_logits():
         ids=np.zeros((1, 4), dtype=np.int64),
         loss_mask=np.array([[1.0, 0.0, 1.0, 0.0]]),
         example_ids=np.array([0]),
-        mlm_targets=np.array([[5, 6, 7, 8]]),
+        targets=np.array([[5, 6, 7, 8]]),
     )
     logits = Tensor(np.zeros((1, 4, vocab_size)))
     loss = objectives.mlm_loss(logits, batch)
@@ -221,39 +221,39 @@ def test_sop_loss_perfect_head_goes_to_zero():
         ids=np.zeros((2, 2), dtype=np.int64),
         loss_mask=np.ones((2, 2)),
         example_ids=np.arange(2),
-        sop_labels=np.array([0, 1]),
+        labels=np.array([0, 1]),
     )
     logits = Tensor(np.array([[30.0, -30.0], [-30.0, 30.0]]))
     assert objectives.sop_loss(logits, batch).item() == pytest.approx(0.0, abs=1e-12)
 
 
+def lm_batch_of(rows, masks=None):
+    ids = np.array(rows)
+    return make_lm_batch((ids, np.ones(ids.shape) if masks is None else np.array(masks)), 0, len(rows))
+
+
 def test_lm_loss_two_token_sequence_is_single_step():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(1, 2, 9))
-    batch = PackedSequenceBatch(
-        ids=np.array([[3, 5]]), loss_mask=np.ones((1, 2)), example_ids=np.array([0])
-    )
-    loss = objectives.lm_loss(Tensor(logits), batch)
+    loss = objectives.lm_loss(Tensor(logits), lm_batch_of([[3, 5]]))
     direct = T.softmax_cross_entropy(Tensor(logits[:, 0]), np.array([5]))
     assert loss.item() == pytest.approx(direct.item(), rel=1e-12)
 
 
 def test_lm_loss_excludes_padded_targets():
     logits = Tensor(np.random.default_rng(0).normal(size=(1, 4, 7)))
-    full = PackedSequenceBatch(
-        ids=np.array([[1, 2, 3, 4]]), loss_mask=np.ones((1, 4)), example_ids=np.array([0])
-    )
-    padded = PackedSequenceBatch(
-        ids=np.array([[1, 2, 3, 0]]),
-        loss_mask=np.array([[1.0, 1.0, 1.0, 0.0]]),
-        example_ids=np.array([0]),
-    )
-    short = PackedSequenceBatch(
-        ids=np.array([[1, 2, 3]]), loss_mask=np.ones((1, 3)), example_ids=np.array([0])
-    )
+    full = lm_batch_of([[1, 2, 3, 4]])
+    padded = lm_batch_of([[1, 2, 3, 0]], [[1.0, 1.0, 1.0, 0.0]])
+    short = lm_batch_of([[1, 2, 3]])
     short_loss = objectives.lm_loss(Tensor(logits.data[:, :3]), short)
     assert objectives.lm_loss(logits, padded).item() == pytest.approx(short_loss.item(), rel=1e-12)
     assert objectives.lm_loss(logits, full).item() != pytest.approx(short_loss.item(), rel=1e-6)
+
+
+def test_lm_loss_needs_targets():
+    batch = PackedSequenceBatch(ids=np.array([[1, 2]]), loss_mask=np.ones((1, 2)), example_ids=np.array([0]))
+    with pytest.raises(ValueError, match="no targets"):
+        objectives.lm_loss(Tensor(np.zeros((1, 2, 5))), batch)
 
 
 def test_mlm_loss_invariant_to_unmasked_logits():
@@ -263,7 +263,7 @@ def test_mlm_loss_invariant_to_unmasked_logits():
         ids=np.zeros((1, 3), dtype=np.int64),
         loss_mask=np.array([[0.0, 1.0, 0.0]]),
         example_ids=np.array([0]),
-        mlm_targets=np.array([[1, 2, 3]]),
+        targets=np.array([[1, 2, 3]]),
     )
     with Tape() as tape:
         loss = objectives.mlm_loss(logits, batch)
@@ -278,7 +278,7 @@ def test_empty_mask_counts_and_zero_loss():
         ids=np.zeros((1, 3), dtype=np.int64),
         loss_mask=np.zeros((1, 3)),
         example_ids=np.array([0]),
-        mlm_targets=np.zeros((1, 3), dtype=np.int64),
+        targets=np.zeros((1, 3), dtype=np.int64),
     )
     logits = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)), requires_grad=True)
     with Tape() as tape:
@@ -309,19 +309,29 @@ def test_lm_batches_cycle_deterministically():
     assert a.example_ids.tolist() == [(3 * 4 + j) % n for j in range(4)]
 
 
+def test_lm_batch_aligns_next_token_targets():
+    ids, mask = packed_fixture()
+    assert mask[-1, -1] == 0.0  # the last packed row ends in pads
+    batch = make_lm_batch((ids, mask), 0, ids.shape[0])
+    assert np.array_equal(batch.ids, ids)
+    assert np.array_equal(batch.targets[:, :-1], ids[:, 1:])
+    assert np.array_equal(batch.loss_mask[:, :-1], mask[:, 1:])
+    assert not batch.loss_mask[:, -1].any() and not batch.targets[:, -1].any()
+
+
 def test_mlm_batch_has_all_fields(vocab):
     docs = [[7, 8, 9, 10, 11, 12, 13, 14] for _ in range(5)]
     packed = pack_documents(docs, seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
     batch = make_mlm_batch(packed, 0, 4, MaskingPolicy(), vocab, seed=11)
     assert batch.ids.shape == (4, 8)
-    assert batch.sop_labels.shape == (4,)
+    assert batch.labels.shape == (4,)
     assert batch.type_ids.shape == (4, 8)
-    assert batch.mlm_targets.shape == (4, 8)
+    assert batch.targets.shape == (4, 8)
     assert batch.loss_mask.sum() > 0
     assert set(batch.type_ids[:, :4].flat) == {0} and set(batch.type_ids[:, 4:].flat) == {1}
     again = make_mlm_batch(packed, 0, 4, MaskingPolicy(), vocab, seed=11)
     assert np.array_equal(batch.ids, again.ids)
-    assert np.array_equal(batch.sop_labels, again.sop_labels)
+    assert np.array_equal(batch.labels, again.labels)
 
 
 def test_seq2seq_batch_alignment():
@@ -330,7 +340,7 @@ def test_seq2seq_batch_alignment():
     assert batch.source_ids.shape == (2, 4)
     assert batch.ids.shape == (2, 4)
     assert batch.ids[0, 0] == EOD
-    assert np.array_equal(batch.ids[0, 1:], batch.target_out[0, :-1])
+    assert np.array_equal(batch.ids[0, 1:], batch.targets[0, :-1])
 
 
 def test_batch_shard_slices_all_fields(vocab):
@@ -340,11 +350,11 @@ def test_batch_shard_slices_all_fields(vocab):
     first = batch.shard(0, 2)
     second = batch.shard(1, 2)
     assert np.array_equal(np.concatenate([first.ids, second.ids]), batch.ids)
-    assert np.array_equal(np.concatenate([first.sop_labels, second.sop_labels]), batch.sop_labels)
+    assert np.array_equal(np.concatenate([first.labels, second.labels]), batch.labels)
     for bad_shards in (3, 0, -2):
         with pytest.raises(DataError):
             batch.shard(0, bad_shards)
-    for whole in (batch, make_seq2seq_batch(packed, 0, 4, eod_id=vocab.eod_id)):
+    for whole in (batch, make_seq2seq_batch(packed, 0, 4, eod_id=vocab.eod_id), make_lm_batch(packed, 0, 4)):
         halves = (whole.shard(0, 2), whole.shard(1, 2))
         for field in dataclasses.fields(whole):
             value = getattr(whole, field.name)

@@ -141,6 +141,20 @@ def full_batch_objective(params, cfg, batch, rng):
     return objectives.seq2seq_loss(out.logits, batch)
 
 
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_one_objective_serves_every_family(family):
+    cfg, params, _ = model_and_engine(family=family, seed=37)
+    batch = family_batches(family)(0)
+    expected = full_batch_objective(params, cfg, batch, DropoutRng(0, 0, batch.example_ids))
+    out = forward(
+        params, cfg, batch.ids, mode="train", rng=DropoutRng(0, 0, batch.example_ids), type_ids=batch.type_ids,
+        source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
+    )
+    normalizers = objectives.weights(params, batch)
+    assert normalizers == (batch.loss_mask.sum(), batch.batch_size)
+    assert objectives.loss(params, out, batch, normalizers).item() == expected.item()
+
+
 def test_single_shard_is_exactly_train_step():
     """``n_shards=1`` equals a hand-built unsharded step bit for bit: one tape
     over the full batch, default normalizers, then the engine's update."""
@@ -192,7 +206,7 @@ def test_shard_compute_order_does_not_matter():
     _, params_b, engine_b = model_and_engine(seed=31)
     engine = engine_b
     batch = batch_fn(0)
-    global_weights = objectives.weights(engine.params, engine.model_cfg.family, batch)
+    global_weights = objectives.weights(engine.params, batch)
     scale = engine.scaler.scale
     from stacklm.tensor import DropoutRng, Tape
     from stacklm import tensor as T

@@ -221,6 +221,14 @@ def test_finetune_deterministic(vocab):
     assert run() == run()
 
 
+def test_finetune_last_step_still_learns(vocab):
+    cfg = encoder_cfg(vocab, n_layers=1)
+    model = finetune(build_model(cfg, seed=0), cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
+                     FinetuneSettings(learning_rate=1e-3, max_steps=1, batch_size=4))
+    assert model.history[-1].lr > 0.0
+    assert np.any(model.params["cls.w"].data != 0.0)
+
+
 def test_evaluate_rejects_empty_split(vocab):
     cfg = encoder_cfg(vocab)
     params = build_model(cfg, seed=0)

@@ -1,3 +1,4 @@
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypat
 
 
 def test_manifest_write_failing_midway_keeps_previous_file(tmp_path):
-    run = RunDirectory("cost", str(tmp_path))
+    run = RunDirectory(argparse.Namespace(command="cost", out=str(tmp_path)))
     run.finalize(seed=3)
     manifest = (tmp_path / "manifest.json").read_bytes()
     run.options = {"ok": 1, "zz_unserializable": object()}  # json.dump fails after writing a prefix

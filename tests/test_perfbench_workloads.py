@@ -41,6 +41,11 @@ def test_workload_sets_up_and_runs(workloads, name):
     workload = workloads.WORKLOADS[name]
     state, _ = workload.setup(ROOT, seed=7)
     workload.short_run(state)
-    if name == "mlm-pretrain-dp2":
-        loss = workload._eval_loss(workload._engine(state), state.batch_fn(0))
-        assert math.isfinite(loss)
+
+
+@pytest.mark.parametrize("name", ["lm-pretrain", "mlm-pretrain-dp2", "seq2seq-pretrain-recompute"])
+def test_pretraining_eval_objective_runs(workloads, name):
+    workload = workloads.WORKLOADS[name]
+    state, _ = workload.setup(ROOT, seed=7)
+    loss = workload._eval_loss(workload._engine(state), state.batch_fn(0))
+    assert math.isfinite(loss)
