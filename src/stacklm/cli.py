@@ -269,7 +269,7 @@ def cmd_eval(args) -> int:
     vocab = bpe.load_vocab(args.vocab)
     label_vocab = extra.get("label_vocab")
     dataset = load_tsv_dataset(args.data, args.split, label_vocab=label_vocab)
-    model = FinetunedModel(params, cfg, extra.get("head", "pair-classifier"), label_vocab or dataset.label_vocab, [])
+    model = FinetunedModel(params, cfg, label_vocab or dataset.label_vocab, [])
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
     print(_metrics_line(metrics))
     _write_metrics_json(run, metrics)

@@ -168,13 +168,16 @@ class FinetuneSettings:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InputError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise InputError(f"fine-tune step budget must be non-negative, got {self.max_steps}")
+        if self.epochs < 0:
+            raise InputError(f"fine-tune epochs must be non-negative, got {self.epochs}")
 
 
 @dataclass
 class FinetunedModel:
     params: ModelParams
     config: ModelConfig
-    head: str
     label_vocab: list[str]
     history: list[StepMetrics]
 
@@ -215,17 +218,14 @@ def finetune(
     n = len(dataset)
     if n == 0:
         raise InputError("cannot fine-tune on an empty dataset")
-    steps_per_epoch = max(1, (n + settings.batch_size - 1) // settings.batch_size)
-    total = settings.epochs * steps_per_epoch if settings.max_steps is None else settings.max_steps
+    b = settings.batch_size
+    total = settings.epochs * ((n + b - 1) // b) if settings.max_steps is None else settings.max_steps
+    # one stream of whole epochs: batch k is rows [k*b, (k+1)*b) of back-to-back permutations
     order_rng = np.random.default_rng((0xF1E7, settings.seed))
-    orders = [order_rng.permutation(n) for _ in range(max(1, (total * settings.batch_size) // n + 2))]
+    stream = np.concatenate([order_rng.permutation(n) for _ in range(max(1, (total * b + n - 1) // n))])
 
     def batch_fn(k: int) -> PackedSequenceBatch:
-        start = k * settings.batch_size
-        epoch, offset = divmod(start, n)
-        picks = orders[epoch % len(orders)]
-        rows = np.array([picks[(offset + j) % n] for j in range(settings.batch_size)])
-        return _classifier_batch(dataset, rows, vocab, cfg.max_seq_len)
+        return _classifier_batch(dataset, stream[k * b : (k + 1) * b], vocab, cfg.max_seq_len)
 
     # decay to zero one step past the budget: the engine takes step k at lr_at(k + 1)
     engine_cfg = EngineConfig(
@@ -234,7 +234,7 @@ def finetune(
     )
     engine = TrainEngine(full, cfg, engine_cfg)
     history = train_loop(engine, batch_fn, total)
-    return FinetunedModel(full, cfg, head, list(dataset.label_vocab), history)
+    return FinetunedModel(full, cfg, list(dataset.label_vocab), history)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The design goal is an auditable core rather than a general array library:
 tensors are plain row-major numpy arrays, every differentiable primitive is a
 free function, and the tape records primitives in execution order so the
-backward pass can walk them in exact reverse order.  Broadcasting is limited
-to the patterns a transformer needs (trailing-dimension bias adds and
-constant mask adds).
+backward pass can pop them in exact reverse order, freeing each node's saved
+activations and output gradient as it goes.  Broadcasting is limited to the
+patterns a transformer needs (trailing-dimension bias adds and constant mask
+adds).
 """
 
 from __future__ import annotations
@@ -84,17 +85,14 @@ class _Node:
 class Tape:
     """Ordered record of primitive applications for one backward pass.
 
-    Nodes are appended in execution order; ``backward`` visits them in exact
-    reverse order, which is a reverse topological order of the recorded
-    graph.  A tape can be consumed by ``backward`` only once.
+    Nodes are appended in execution order; ``backward`` pops them in exact
+    reverse order, a reverse topological order of the recorded graph, and
+    drops each one once it has run.  A tape is single-use.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._consumed = False
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -122,7 +120,8 @@ class Tape:
         if seed_grad is None:
             seed_grad = np.ones_like(root.data)
         _accumulate(root, np.asarray(seed_grad, dtype=root.dtype))
-        for node in reversed(self._nodes):
+        while self._nodes:
+            node = self._nodes.pop()
             upstream = node.output.grad
             if upstream is None:
                 continue

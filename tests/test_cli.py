@@ -118,6 +118,9 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
          "--train", str(tsv), "--dev", str(tsv)],
         # an option error is not reported as a failure of the first depth
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--batch-size", "0"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--budget", "-3"],
+        ["finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path),
+         "--train", str(tsv), "--steps", "-1"],
         ["cost", "--table", str(tmp_path / "no-steps.csv")],
         ["cost", "--table", str(tmp_path / "short-row.csv")],
         ["cost", "--table", str(tmp_path / "negative.csv")],
@@ -140,7 +143,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         assert rc == 1, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
-        assert not (tmp_path / f"run{i}" / "sweep_partial.csv").exists(), argv
+        assert not any((tmp_path / f"run{i}").glob("sweep*.csv")), argv
 
 
 def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):

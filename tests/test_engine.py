@@ -15,9 +15,9 @@ from stacklm.engine import (
     save_engine_checkpoint,
     train_loop,
 )
-from stacklm.model import ConfigError, ModelConfig, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
+from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
 from stacklm.optim import TrainSchedule
-from stacklm.tensor import DropoutRng, Tape
+from stacklm.tensor import DropoutRng, Tape, Tensor
 
 
 def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False, scaler=True, dropout=0.1):
@@ -114,11 +114,11 @@ def test_data_parallel_matches_full_batch(family, n_shards):
         assert float(np.max(np.abs(a - b))) / denom < 1e-6, name
 
 
-def family_batches(family, batch_size=4):
+def family_batches(family, batch_size=4, seq_len=12):
     vocab = train_bpe("aa bb cc dd ee ff gg hh " * 8, 300)
     rng = np.random.default_rng(13)
     docs = [list(rng.integers(5, 30, size=20)) for _ in range(8)]
-    packed = pack_documents(docs, 12, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    packed = pack_documents(docs, seq_len, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
     if family == "encoder-only":
         return lambda k: make_mlm_batch(packed, k, batch_size, MaskingPolicy(), vocab, seed=5)
     if family == "encoder-decoder":
@@ -186,6 +186,35 @@ def test_pretraining_reaches_every_parameter(family):
     _, params, engine = model_and_engine(family=family, seed=31)
     grads, _ = engine.compute_gradients(family_batches(family)(0), n_shards=2)
     assert list(grads) == params.names()
+
+
+SHADOW_STEPS = 10
+# The standard for changes that move float32 bits; never widen it.  On the
+# code it was set against, the largest deviation over seeds 0-5 and the three
+# families was 1.18e-7; the bound is twice that, rounded up.
+SHADOW_BOUND = 2.4e-7
+
+
+def shadow_loss_deviation(family, seed):
+    """Largest relative deviation of float32 step losses from a float64 run from the same init."""
+    cfg = ModelConfig(family, 2, d_layer=32, n_heads=2, d_head=16, vocab_size=31, max_seq_len=32, dropout_p=0.1)
+    params32 = build_model(cfg, seed=seed)
+    params64 = ModelParams(
+        {name: Tensor(t.data.astype(np.float64), requires_grad=True, name=name) for name, t in params32.items()}
+    )
+    schedule = TrainSchedule(1e-3, 0.0, warmup_steps=2, total_steps=SHADOW_STEPS)
+    batch_fn = family_batches(family, seq_len=32)
+    losses = []
+    for params in (params32, params64):
+        engine = TrainEngine(params, cfg, EngineConfig(schedule, seed=seed))
+        losses.append(np.array([m.loss for m in train_loop(engine, batch_fn, SHADOW_STEPS)]))
+    return float(np.max(np.abs(losses[0] - losses[1]) / np.abs(losses[1])))
+
+
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_float32_losses_track_float64_shadow(family):
+    # nonzero: the shadow really ran in float64
+    assert 0.0 < shadow_loss_deviation(family, seed=0) < SHADOW_BOUND
 
 
 def test_non_divisible_shards_rejected():

@@ -185,6 +185,33 @@ def test_finetune_leaves_pretraining_heads_and_their_moments_untouched(vocab, mo
     assert model.params["cls.w"].data.any()
 
 
+@pytest.mark.parametrize("field, named", [("max_steps", "step budget"), ("epochs", "epochs")])
+def test_negative_finetune_budget_rejected(field, named):
+    with pytest.raises(InputError, match=f"{named} must be non-negative, got -1$"):
+        FinetuneSettings(**{field: -1})
+    assert getattr(FinetuneSettings(**{field: 0}), field) == 0
+
+
+def test_finetune_epochs_read_one_shuffled_stream(vocab, monkeypatch):
+    # 10 examples in batches of 4 (4 does not divide 10): each epoch is one whole permutation
+    rows = []
+    classifier_batch = evaluation_mod._classifier_batch
+
+    def recording_batch(dataset, picks, *args):
+        rows.extend(int(r) for r in picks)
+        return classifier_batch(dataset, picks, *args)
+
+    monkeypatch.setattr(evaluation_mod, "_classifier_batch", recording_batch)
+    cfg = encoder_cfg(vocab, n_layers=1)
+    ds = make_synthetic_pair_task(10, seed=0)
+    epochs = 3
+    finetune(build_model(cfg, seed=0), cfg, vocab, ds, "pair-classifier",
+             FinetuneSettings(learning_rate=1e-3, epochs=epochs, batch_size=4, seed=0))
+    assert len(rows) == epochs * 3 * 4  # three batches of 4 per epoch
+    for e in range(epochs):
+        assert sorted(rows[e * 10 : (e + 1) * 10]) == list(range(10)), e
+
+
 def test_zero_steps_gives_majority_class_baseline(vocab):
     cfg = encoder_cfg(vocab)
     params = build_model(cfg, seed=0)

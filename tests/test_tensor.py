@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ def test_backward_twice_is_an_error():
     tape.backward(loss)
     with pytest.raises(RuntimeError):
         tape.backward(loss)
+
+
+def test_backward_releases_consumed_nodes():
+    # Tensor has __slots__ and no weakref slot, so watch an intermediate's array
+    x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+    with Tape() as tape:
+        h = T.gelu(x)
+        loss = T.sum_all(h)
+    held = weakref.ref(h.data)
+    del h
+    assert held() is not None  # the live tape's nodes still hold it
+    tape.backward(loss)
+    assert held() is None
+    assert x.grad is not None
 
 
 def test_backward_linearity():
