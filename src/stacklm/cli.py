@@ -168,6 +168,9 @@ def cmd_pretrain(args) -> int:
     for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    batch_size = args.batch_size or (TOY_PROFILE["batch_size"] if args.toy else 8)
+    if args.shards < 1 or batch_size % args.shards:
+        raise ValueError(f"--shards must be at least 1 and divide the batch size {batch_size}, got {args.shards}")
     run = RunDirectory(args)
     run.record_input("config", args.config)
     run.record_input("corpus", args.corpus)
@@ -179,7 +182,6 @@ def cmd_pretrain(args) -> int:
     vocab = _resolve_vocab(args, run, docs, target)
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
 
-    batch_size = args.batch_size or (TOY_PROFILE["batch_size"] if args.toy else 8)
     run.options.update(batch_size=batch_size, resolved_model_config=dataclasses.asdict(cfg))
 
     streams = datap.encode_corpus(docs, vocab)

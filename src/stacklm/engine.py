@@ -6,14 +6,15 @@ activations and recomputing them during backward), takes the loss that
 backpropagates it with the loss scale as the seed gradient.  One number
 then decides the update: the global L2 norm of the summed, still scaled
 gradients, divided by the loss scale.
-A non-finite norm skips the step, with or without the loss scaler, and
-backs the scaler off; otherwise one multiply unscales and clips the
-gradients to norm 1 and one Adam update runs at the scheduled rate.  Every
-step runs one body, ``data_parallel_step`` (alias ``train_step``): every
-one of ``n_shards`` shard losses (default one) is normalized by the
-full-batch ``objectives.weights``, and shard gradients are summed in fixed
-shard-index order.  One shard is exactly the full-batch step; more shards
-equal it up to floating-point rounding.  A parameter the loss never reached
+A non-finite norm skips the step and backs the scaler off; otherwise one
+multiply unscales and clips the gradients to norm 1 and one Adam update
+runs at the scheduled rate.  The scaler is always there: with loss scaling
+off it is fixed at scale 1 and never grows or backs off.  Every step runs
+one body, ``data_parallel_step`` (alias ``train_step``): ``objectives.loss``
+normalizes every one of ``n_shards`` shard losses (default one) over the
+full batch, and shard gradients are summed in fixed shard-index order.  One
+shard is exactly the full-batch step; more shards equal it up to
+floating-point rounding.  A parameter the loss never reached
 (a fine-tuned encoder's pretraining heads) has no gradient and is neither
 clipped nor updated.
 
@@ -44,7 +45,7 @@ from .optim import (
     loss_scaler_step,
     lr_at,
 )
-from .tensor import DropoutRng, Tape, Tensor
+from .tensor import DropoutRng, Tape
 
 
 @dataclass
@@ -81,35 +82,17 @@ class TrainEngine:
         self.model_cfg = model_cfg
         self.cfg = engine_cfg
         self.optimizer = OptimizerState(params)
-        self.scaler = LossScaler() if engine_cfg.use_loss_scaler else None
-        self.step = 0
-
-    def _forward_loss(
-        self,
-        batch: PackedSequenceBatch,
-        rng: Optional[DropoutRng],
-        normalizers: tuple[float, ...],
-    ) -> Tensor:
-        """Objective for one (sub-)batch.
-
-        ``normalizers`` are the full-batch per-component denominators, so
-        shard losses sum to the full-batch loss.
-        """
-        out = forward(
-            self.params, self.model_cfg, batch.ids, mode="train", rng=rng,
-            recompute=self.cfg.recompute_activations,
-            type_ids=batch.type_ids, attention_mask=batch.attention_mask,
-            source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
+        # loss scaling off is a scale of 1 that never moves; float32 needs no more
+        self.scaler = (
+            LossScaler() if engine_cfg.use_loss_scaler else LossScaler(1.0, growth_factor=1.0, backoff_factor=1.0)
         )
-        return objectives.loss(self.params, out, batch, normalizers)
+        self.step = 0
 
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
         """One decision from the global norm of ``grads``, which carry the loss scale."""
-        scale = self.scaler.scale if self.scaler else 1.0
-        grads, norm = clip_global_norm(grads, loss_scale=scale)
+        grads, norm = clip_global_norm(grads, loss_scale=self.scaler.scale)
         skipped = not math.isfinite(norm)
-        if self.scaler is not None:
-            loss_scaler_step(self.scaler, not skipped)
+        loss_scaler_step(self.scaler, not skipped)
         lr = lr_at(self.cfg.schedule, self.step + 1)
         if not skipped:
             adam_step(self.params, grads, self.optimizer, lr)
@@ -118,7 +101,7 @@ class TrainEngine:
             loss=loss_value,
             lr=lr,
             grad_norm=norm,
-            loss_scale=self.scaler.scale if self.scaler else 1.0,
+            loss_scale=self.scaler.scale,
             skipped=skipped,
         )
         self.step += 1
@@ -129,12 +112,10 @@ class TrainEngine:
     def _scaled_gradients(self, batch: PackedSequenceBatch, n_shards: int) -> tuple[dict[str, np.ndarray], float]:
         """Forward/backward only: (loss-scale times gradients, unscaled loss).
 
-        Every shard loss is normalized by the full-batch denominators and
-        shard gradients are summed, in place into the first shard's arrays,
-        in fixed shard-index order.
+        Every shard loss is normalized over the full batch and shard
+        gradients are summed, in place into the first shard's arrays, in
+        fixed shard-index order.
         """
-        scale = self.scaler.scale if self.scaler else 1.0
-        global_weights = objectives.weights(self.params, batch)
         combined: dict[str, np.ndarray] = {}
         loss_total = 0.0
         # at least one pass, so that ``shard`` rejects n_shards < 1
@@ -143,8 +124,15 @@ class TrainEngine:
             self.params.zero_grads()
             rng = DropoutRng(self.cfg.seed, self.step, shard.example_ids)
             with Tape() as tape:
-                loss = self._forward_loss(shard, rng, global_weights)
-            tape.backward(loss, seed_grad=scale)
+                out = forward(
+                    self.params, self.model_cfg, shard.ids, mode="train", rng=rng,
+                    recompute=self.cfg.recompute_activations,
+                    type_ids=shard.type_ids, attention_mask=shard.attention_mask,
+                    source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
+                )
+                loss = objectives.loss(out, shard, batch)
+                del out  # leave the outputs to the tape, which frees them as backward consumes it
+            tape.backward(loss, seed_grad=self.scaler.scale)
             for name, t in self.params.items():
                 if t.grad is None:
                     continue
@@ -159,8 +147,7 @@ class TrainEngine:
     def compute_gradients(self, batch: PackedSequenceBatch, n_shards: int = 1) -> tuple[dict[str, np.ndarray], float]:
         """Unscaled full-batch gradients and loss, without touching any state."""
         grads, loss = self._scaled_gradients(batch, n_shards)
-        scale = self.scaler.scale if self.scaler else 1.0
-        return {name: g / scale for name, g in grads.items()}, loss
+        return {name: g / self.scaler.scale for name, g in grads.items()}, loss
 
     def data_parallel_step(self, batch: PackedSequenceBatch, n_shards: int = 1) -> StepMetrics:
         """Shard the batch, reduce gradients in fixed shard order, update once."""
@@ -177,7 +164,7 @@ def save_engine_checkpoint(path: str, engine: TrainEngine) -> None:
         "engine": asdict(engine.cfg),
         "step": engine.step,
         "optimizer_step": engine.optimizer.step,
-        "scaler": None if engine.scaler is None else asdict(engine.scaler),
+        "scaler": asdict(engine.scaler),
     }
     moments = {"adam_m": engine.optimizer.m, "adam_v": engine.optimizer.v}
     save_checkpoint(path, engine.params, engine.model_cfg, extra, slots=moments)
@@ -191,8 +178,7 @@ def load_engine_checkpoint(path: str) -> TrainEngine:
         engine = TrainEngine(params, model_cfg, engine_cfg)
         engine.step = extra["step"]
         engine.optimizer.step = extra["optimizer_step"]
-        if engine.scaler is not None:
-            engine.scaler = LossScaler(**extra["scaler"])
+        engine.scaler = LossScaler(**extra["scaler"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the engine from its record: {exc}") from None
     engine.optimizer.m = extra["adam_m"]

@@ -166,12 +166,37 @@ class FinetuneSettings:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.learning_rate >= 0:
+            raise InputError(f"fine-tune learning rate must be non-negative, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InputError(f"batch size must be at least 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 0:
             raise InputError(f"fine-tune step budget must be non-negative, got {self.max_steps}")
         if self.epochs < 0:
             raise InputError(f"fine-tune epochs must be non-negative, got {self.epochs}")
+
+
+def _check_vocab(cfg: ModelConfig, vocab: TokenizerVocab) -> None:
+    if vocab.size != cfg.vocab_size:
+        raise InputError(f"a vocabulary of {vocab.size} tokens does not fit a model with vocab_size {cfg.vocab_size}")
+
+
+def _check_finetune_inputs(cfg: ModelConfig, vocab: TokenizerVocab, dataset: ClassificationDataset, head: str) -> None:
+    """What ``finetune`` rejects before it builds anything; no depth changes the outcome."""
+    if cfg.family != "encoder-only":
+        raise ConfigError(f"fine-tuning needs an encoder-only checkpoint, got {cfg.family}")
+    if head not in HEAD_KINDS:
+        raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
+    if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
+        raise InputError("pair-classifier needs text_b on every example")
+    if len(dataset) == 0:
+        raise InputError("cannot fine-tune on an empty dataset")
+    _check_vocab(cfg, vocab)
+
+
+def _check_evaluable(dataset: ClassificationDataset) -> None:
+    if len(dataset) == 0:
+        raise InputError(f"cannot evaluate an empty {dataset.split} split")
 
 
 @dataclass
@@ -203,12 +228,7 @@ def finetune(
     Deterministic given ``settings.seed``: batch order, dropout streams and
     the optimizer trajectory depend only on (dataset, settings).
     """
-    if cfg.family != "encoder-only":
-        raise ConfigError(f"fine-tuning needs an encoder-only checkpoint, got {cfg.family}")
-    if head not in HEAD_KINDS:
-        raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
-    if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
-        raise InputError("pair-classifier needs text_b on every example")
+    _check_finetune_inputs(cfg, vocab, dataset, head)
     dtype = params["tok_emb"].dtype
     tensors = dict(params.tensors)
     for name, shape in classifier_head(cfg, len(dataset.label_vocab)).items():
@@ -216,8 +236,6 @@ def finetune(
     full = ModelParams(tensors)
 
     n = len(dataset)
-    if n == 0:
-        raise InputError("cannot fine-tune on an empty dataset")
     b = settings.batch_size
     total = settings.epochs * ((n + b - 1) // b) if settings.max_steps is None else settings.max_steps
     # one stream of whole epochs: batch k is rows [k*b, (k+1)*b) of back-to-back permutations
@@ -245,6 +263,7 @@ def finetune(
 def predict(
     model: FinetunedModel, vocab: TokenizerVocab, dataset: ClassificationDataset, batch_size: int = 32
 ) -> np.ndarray:
+    _check_vocab(model.config, vocab)
     n = len(dataset)
     outputs = np.empty(n, dtype=np.int64)
     for start in range(0, n, batch_size):
@@ -265,13 +284,14 @@ def evaluate(
     positive_label: Optional[str] = None,
 ) -> EvalMetrics:
     """Confusion-matrix metrics; precision/recall/F1 for binary labels only."""
-    if len(dataset) == 0:
-        raise InputError(f"cannot evaluate an empty {dataset.split} split")
+    _check_evaluable(dataset)
     predictions = predict(model, vocab, dataset)
     truth = dataset.labels_as_ids()
     if len(dataset.label_vocab) == 2:
         if positive_label is None:
             positive_label = "1" if "1" in dataset.label_vocab else dataset.label_vocab[-1]
+        if positive_label not in dataset.label_vocab:
+            raise InputError(f"positive label {positive_label!r} is not in the label vocabulary {dataset.label_vocab}")
         pos = dataset.label_vocab.index(positive_label)
         tp = int(np.sum((predictions == pos) & (truth == pos)))
         fp = int(np.sum((predictions == pos) & (truth != pos)))
@@ -317,14 +337,18 @@ def depth_sweep(
     """Fine-tune otherwise-identical models at each depth and pick the best.
 
     Every depth gets the same seed and budget.  The winner is the
-    argmax-accuracy depth, ties broken toward the smaller depth.
+    argmax-accuracy depth, ties broken toward the smaller depth.  An input
+    that no depth can train on or be scored on is rejected before the first
+    depth runs; a failure of one depth raises ``SweepError``.
     """
     if len(depths) < 2:
         raise ConfigError("a depth sweep needs at least two depths")
+    configs = [replace(base_cfg, n_layers=depth) for depth in depths]
+    _check_finetune_inputs(base_cfg, vocab, train_set, head)
+    _check_evaluable(dev_set)
     rows: list[tuple[int, EvalMetrics]] = []
-    for depth in depths:
+    for depth, cfg in zip(depths, configs):
         try:
-            cfg = replace(base_cfg, n_layers=depth)
             params = build_model(cfg, seed=build_seed)
             model = finetune(params, cfg, vocab, train_set, head, settings)
             rows.append((depth, evaluate(model, vocab, dev_set)))

@@ -6,11 +6,14 @@ Every pretraining batch carries ``targets`` aligned with the logits and a
 next-token, masked-token and seq2seq prediction.  ``sop_loss`` is the
 two-way segment-order head.
 
-``loss`` chooses what a step optimizes: the cross entropy of the
-classifier logits that ``model.forward`` returns when the parameters carry
-the fine-tune head (``cls.w``), else ``lm_loss``, plus ``sop_loss`` when the
-model has a segment-order head (encoder pretraining).
-``weights`` gives its full-batch denominators.
+``loss`` decides what a step optimizes, and over what: a batch without
+``targets`` is a classification batch, scored by the cross entropy of the
+classifier logits against its ``labels``; any other batch is scored by
+``lm_loss``, plus ``sop_loss`` when the model returned segment-order logits
+(encoder pretraining).  Each term is normalized over the full batch the
+(shard) batch was cut from, so shard losses sum to the full-batch loss.
+``model.forward`` picks the output head from the parameters; a batch that
+does not fit the logits it gets raises ``ShapeError``.
 
 A loss called with an all-zero mask is defined as exactly zero, with a
 zero gradient.
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PackedSequenceBatch
-from .model import ModelOutput, ModelParams
+from .model import ModelOutput
 from .tensor import Tensor
 
 
@@ -44,18 +47,11 @@ def sop_loss(sop_logits: Tensor, batch: PackedSequenceBatch, normalizer: float |
     return T.softmax_cross_entropy(sop_logits, batch.labels, np.ones(batch.batch_size), normalizer)
 
 
-def weights(params: ModelParams, batch: PackedSequenceBatch) -> tuple[float, ...]:
-    """Full-batch denominators of the loss components ``loss`` sums."""
-    if "cls.w" in params:
-        return (float(batch.batch_size),)
-    return (float(batch.loss_mask.sum()), float(batch.batch_size))
-
-
-def loss(params: ModelParams, out: ModelOutput, batch: PackedSequenceBatch, normalizers) -> Tensor:
-    """The training objective for ``out``, each component over its normalizer."""
-    if "cls.w" in params:
-        return T.softmax_cross_entropy(out.logits, batch.labels, np.ones(batch.batch_size), normalizers[0])
-    token = lm_loss(out.logits, batch, normalizers[0])
+def loss(out: ModelOutput, batch: PackedSequenceBatch, whole: PackedSequenceBatch) -> Tensor:
+    """The training objective for ``out`` on ``batch``, each term over its total in ``whole``."""
+    if batch.targets is None:
+        return T.softmax_cross_entropy(out.logits, batch.labels, np.ones(batch.batch_size), float(whole.batch_size))
+    token = lm_loss(out.logits, batch, float(whole.loss_mask.sum()))
     if out.sop_logits is None:
         return token
-    return T.add(token, sop_loss(out.sop_logits, batch, normalizers[1]))
+    return T.add(token, sop_loss(out.sop_logits, batch, float(whole.batch_size)))

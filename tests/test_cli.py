@@ -12,9 +12,10 @@ import pytest
 
 from stacklm.cli import main
 import stacklm
-from stacklm.evaluation import make_synthetic_pair_task
+from stacklm.evaluation import FinetuneSettings, finetune, make_synthetic_pair_task
 from stacklm.model import ModelConfig, build_model, save_checkpoint
 from stacklm import bpe
+from test_evaluation import failing_build_at_depth
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -47,7 +48,8 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
 
 
 def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
-    for shards in ("0", "-2"):
+    # and a shard count that does not divide the toy batch of 8; all before any work
+    for shards in ("0", "-2", "3"):
         rc = main([
             "pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(TOY_CORPUS),
             "--toy", "--steps", "2", "--shards", shards, "--out", str(tmp_path / f"run{shards}"),
@@ -55,6 +57,8 @@ def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+        assert not (tmp_path / f"run{shards}" / "metrics.jsonl").exists()
+        assert not (tmp_path / f"run{shards}" / "vocab.txt").exists()
 
 
 def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv):
@@ -86,6 +90,13 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     deeper = dataclasses.replace(cfg, n_layers=2)
     save_checkpoint(str(tmp_path / "deeper.npz"), build_model(deeper, seed=0), cfg)
     bad_evals = [tmp_path / "deeper.npz", tmp_path / "model.npz"]
+    # a vocabulary that does not fit the checkpoint, for fine-tuning and evaluation
+    other_path = tmp_path / "other-vocab.txt"
+    other = bpe.train_bpe("a different corpus with a bigger alphabet: xyz 0123456789", 90)
+    bpe.save_vocab(other, str(other_path))
+    tuned = finetune(build_model(cfg, seed=0), cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
+                     FinetuneSettings(max_steps=0))
+    save_checkpoint(str(tmp_path / "tuned.npz"), tuned.params, cfg, extra={"label_vocab": tuned.label_vocab})
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
     (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
     (tmp_path / "negative.csv").write_text("model,time,steps,gpus\nTINY,1h,5K,-2\n")
@@ -119,6 +130,12 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         # an option error is not reported as a failure of the first depth
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--batch-size", "0"],
         ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--budget", "-3"],
+        # errors that no depth can avoid are rejected before the first depth runs
+        ["sweep", "--config", str(CONFIGS / "cpm-2-x-s.cfg"), "--toy", "--depths", "2,4"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths=-1,2"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--task-examples", "0"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--task-examples", "-4"],
+        ["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--lr", "-1"],
         ["finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path),
          "--train", str(tsv), "--steps", "-1"],
         ["cost", "--table", str(tmp_path / "no-steps.csv")],
@@ -128,6 +145,16 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         ["cost", "--table", str(tmp_path / "long.csv")],
         ["cost", "--table", str(tmp_path / "latin1.csv")],
     ]
+    # the message names what does not fit
+    named = {
+        ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(other_path), "--train", str(tsv)):
+            f"{other.size} tokens",
+        ("eval", "--checkpoint", str(tmp_path / "tuned.npz"), "--vocab", str(other_path), "--data", str(tsv)):
+            f"vocab_size {vocab.size}",
+        ("eval", "--checkpoint", str(tmp_path / "tuned.npz"), "--vocab", str(vocab_path), "--data", str(tsv),
+         "--positive-label", "yes"): "'yes' is not in the label vocabulary ['0', '1']",
+    }
+    cases += [list(argv) for argv in named]
     for bad in ("long.tsv", "latin1.tsv"):
         cases.append(["sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
                       "--train", str(tmp_path / bad), "--dev", str(tsv), "--vocab", str(vocab_path)])
@@ -143,6 +170,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         assert rc == 1, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
+        assert named.get(tuple(argv), "") in err[0], err
         assert not any((tmp_path / f"run{i}").glob("sweep*.csv")), argv
 
 
@@ -334,10 +362,11 @@ def test_sweep_manifest_records_every_option(tmp_path):
     assert options[0]["settings"] == options[1]["settings"]
 
 
-def test_sweep_abort_dumps_partial_and_exits_nonzero(tmp_path, capsys):
+def test_sweep_abort_dumps_partial_and_exits_nonzero(tmp_path, capsys, monkeypatch):
+    failing_build_at_depth(monkeypatch, 3)
     out = tmp_path / "run"
     rc = main([
-        "sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,-1,2",
+        "sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,3,2",
         "--budget", "2", "--task-examples", "8", "--out", str(out),
     ])
     assert rc == 1

@@ -7,7 +7,7 @@ import pytest
 from stacklm import objectives
 from stacklm import tensor as T
 from stacklm.bpe import train_bpe
-from stacklm.data import MaskingPolicy, make_lm_batch, make_mlm_batch, make_seq2seq_batch, pack_documents
+from stacklm.data import MaskingPolicy, PackedSequenceBatch, make_lm_batch, make_mlm_batch, make_seq2seq_batch, pack_documents
 from stacklm.engine import (
     EngineConfig,
     TrainEngine,
@@ -17,7 +17,8 @@ from stacklm.engine import (
 )
 from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
 from stacklm.optim import TrainSchedule
-from stacklm.tensor import DropoutRng, Tape, Tensor
+from stacklm.tensor import DropoutRng, ShapeError, Tape, Tensor
+from test_model import with_classifier
 
 
 def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False, scaler=True, dropout=0.1):
@@ -150,9 +151,57 @@ def test_one_objective_serves_every_family(family):
         params, cfg, batch.ids, mode="train", rng=DropoutRng(0, 0, batch.example_ids), type_ids=batch.type_ids,
         source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
     )
-    normalizers = objectives.weights(params, batch)
-    assert normalizers == (batch.loss_mask.sum(), batch.batch_size)
-    assert objectives.loss(params, out, batch, normalizers).item() == expected.item()
+    assert objectives.loss(out, batch, batch).item() == expected.item()
+
+
+def fine_tuned_encoder(seed=0, n_classes=3):
+    cfg, params, _ = model_and_engine(family="encoder-only", seed=seed)
+    return cfg, with_classifier(params, cfg, n_classes)
+
+
+def classifier_batch(n_classes=3, batch_size=4, seq_len=10, seed=0):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(5, 31, size=(batch_size, seq_len))
+    attend = np.ones(ids.shape)
+    attend[0, seq_len // 2 :] = 0.0
+    return PackedSequenceBatch(
+        ids=ids, loss_mask=attend, example_ids=np.arange(batch_size),
+        labels=rng.integers(0, n_classes, size=batch_size), type_ids=np.zeros_like(ids), attention_mask=attend,
+    )
+
+
+def eval_loss(params, cfg, batch, whole):
+    out = forward(
+        params, cfg, batch.ids, mode="eval", type_ids=batch.type_ids, attention_mask=batch.attention_mask,
+        source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
+    )
+    return objectives.loss(out, batch, whole).item()
+
+
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder", "classifier"])
+def test_shard_losses_over_the_whole_batch_sum_to_its_loss(family):
+    if family == "classifier":
+        cfg, params = fine_tuned_encoder(seed=53)
+        batch = classifier_batch(seed=53)
+    else:
+        cfg, params, _ = model_and_engine(family=family, seed=53)
+        batch = family_batches(family)(1)
+    full = eval_loss(params, cfg, batch, batch)
+    shards = [eval_loss(params, cfg, batch.shard(i, 2), batch) for i in range(2)]
+    assert sum(shards) == pytest.approx(full, rel=1e-6)
+    # each shard really is normalized over the whole batch, not over itself
+    assert all(0.0 < value < full for value in shards)
+
+
+def test_objective_rejects_a_batch_for_the_other_head():
+    cfg, params = fine_tuned_encoder(seed=59)
+    pretraining = family_batches("encoder-only")(0)
+    with pytest.raises(ShapeError):
+        eval_loss(params, cfg, pretraining, pretraining)
+    cfg, params, _ = model_and_engine(family="encoder-only", seed=59)
+    batch = classifier_batch(seed=59)
+    with pytest.raises(ShapeError):
+        eval_loss(params, cfg, batch, batch)
 
 
 def test_single_shard_is_exactly_train_step():
@@ -235,7 +284,6 @@ def test_shard_compute_order_does_not_matter():
     _, params_b, engine_b = model_and_engine(seed=31)
     engine = engine_b
     batch = batch_fn(0)
-    global_weights = objectives.weights(engine.params, batch)
     scale = engine.scaler.scale
     from stacklm.tensor import DropoutRng, Tape
     from stacklm import tensor as T
@@ -246,7 +294,8 @@ def test_shard_compute_order_does_not_matter():
         engine.params.zero_grads()
         rng = DropoutRng(engine.cfg.seed, engine.step, shard.example_ids)
         with Tape() as tape:
-            loss = engine._forward_loss(shard, rng, normalizers=global_weights)
+            out = forward(engine.params, engine.model_cfg, shard.ids, mode="train", rng=rng)
+            loss = objectives.loss(out, shard, batch)
             scaled = T.scale(loss, scale)
         tape.backward(scaled)
         shard_grads[index] = {name: t.grad for name, t in engine.params.items() if t.grad is not None}
@@ -299,10 +348,18 @@ def test_nonfinite_gradient_skips_step_without_loss_scaler():
         for n, t in params.items():
             assert np.array_equal(t.data, before[n]), n
             assert not engine.optimizer.m[n].any() and not engine.optimizer.v[n].any(), n
+        assert engine.scaler.scale == 1.0
         # the run carries on: the next finite step updates as usual
         metrics = engine.data_parallel_step(lm_batches()(engine.step), 1)
         assert not metrics.skipped and engine.optimizer.step == 1
         assert all(np.all(np.isfinite(t.data)) for _, t in params.items())
+    # without scaling the scale stays 1 past the scaler's growth interval:
+    # start from the state growth_interval - 1 good steps leave
+    engine.scaler.consecutive_good_steps = engine.scaler.growth_interval - 1
+    for _ in range(2):
+        grads = {n: np.zeros_like(t.data) for n, t in params.items()}
+        assert engine._apply_update(grads, 0.0).loss_scale == 1.0
+    assert engine.scaler.consecutive_good_steps == 1
 
 
 def test_checkpoint_restores_bit_identical_continuation(tmp_path):
@@ -388,7 +445,11 @@ def test_engine_checkpoint_rejects_seed_format_and_wrong_shapes(tmp_path):
     stale = dict(meta["extra"]["engine"], adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.01},
                  max_grad_norm=1.0, initial_loss_scale=2.0**16, scaler_growth_interval=2000)
     no_record = {key: value for key, value in meta["extra"].items() if key != "engine"}
-    for name, extra in (("stale", dict(meta["extra"], engine=stale)), ("no-record", no_record)):
+    # an engine without loss scaling once recorded no scaler at all
+    null_scaler = dict(meta["extra"], engine=dict(meta["extra"]["engine"], use_loss_scaler=False), scaler=None)
+    for name, extra in (
+        ("stale", dict(meta["extra"], engine=stale)), ("no-record", no_record), ("null-scaler", null_scaler),
+    ):
         edited = dict(arrays, meta=np.frombuffer(json.dumps(dict(meta, extra=extra)).encode("utf-8"), dtype=np.uint8))
         np.savez(str(tmp_path / f"{name}.npz"), **edited)
         with pytest.raises(ConfigError):

@@ -324,13 +324,28 @@ def test_depth_sweep_needs_two_depths(vocab):
         depth_sweep(base, [2], vocab, ds, ds, sweep_settings())
 
 
-def test_depth_sweep_failure_carries_partial_rows(vocab):
+def failing_build_at_depth(monkeypatch, depth):
+    """Make building the ``depth``-layer model fail, as running out of memory would."""
+    real = evaluation_mod.build_model
+
+    def build_model(cfg, seed=0):
+        if cfg.n_layers == depth:
+            raise MemoryError(f"cannot allocate a {depth}-layer model")
+        return real(cfg, seed=seed)
+
+    monkeypatch.setattr(evaluation_mod, "build_model", build_model)
+
+
+def test_depth_sweep_failure_carries_partial_rows(vocab, monkeypatch):
     base = encoder_cfg(vocab)
     train = make_synthetic_pair_task(16, seed=6)
     dev = make_synthetic_pair_task(8, seed=6, split="dev")
-    with pytest.raises(SweepError) as exc:
-        # depth -1 cannot build a model
+    # a depth that cannot be a model is an input error, found before any depth runs
+    with pytest.raises(ConfigError):
         depth_sweep(base, [1, -1, 2], vocab, train, dev, sweep_settings())
+    failing_build_at_depth(monkeypatch, 3)
+    with pytest.raises(SweepError) as exc:
+        depth_sweep(base, [1, 3, 2], vocab, train, dev, sweep_settings())
     assert len(exc.value.partial) == 1
     assert exc.value.partial[0][0] == 1
 
