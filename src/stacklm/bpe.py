@@ -3,17 +3,12 @@
 Training is byte level: the base alphabet is the set of bytes observed in
 the corpus, so any text over that alphabet round-trips.  Merges are learned
 inside whitespace-delimited words only, which keeps the vocabulary free of
-duplicated space-marked variants (one token "happy", never a second
+duplicated boundary-marked variants (one token "happy", never a second
 "_happy").
 
-Two encoding modes expose the two boundary schemes:
-
-* ``space-marked``: every single space becomes the marker glyph token
-  (U+2581), mimicking classic BPE output where boundary marks ride along in
-  the sub-word stream.  Decoding is a best-effort join (marker -> space).
-* ``splitter``: every single space becomes the dedicated splitter special
-  token, so ``decode(encode(text)) == text`` exactly for any text over the
-  training alphabet.
+Every single space becomes the dedicated splitter special token, so
+``decode(encode(text)) == text`` exactly for any text over the training
+alphabet.
 
 Vocabulary file grammar (UTF-8, line oriented)::
 
@@ -50,8 +45,6 @@ DEFAULT_SENTINELS = {
     "unknown": "<|unk|>",
     "splitter": "<|split|>",
 }
-
-MODES = ("space-marked", "splitter")
 
 
 class TokenizerError(ValueError):
@@ -197,11 +190,7 @@ class TokenizerVocab:
         return result
 
 
-def train_bpe(
-    corpus: str | Iterable[str],
-    target_vocab_size: int,
-    sentinels: dict[str, str] | None = None,
-) -> TokenizerVocab:
+def train_bpe(corpus: str | Iterable[str], target_vocab_size: int) -> TokenizerVocab:
     """Learn a BPE vocabulary by greedy highest-frequency pair merging.
 
     Merging stops at ``target_vocab_size`` total entries or when no pair
@@ -221,6 +210,9 @@ def train_bpe(
         raise TokenizerError("cannot train a vocabulary on an empty corpus")
 
     alphabet = [bytes([b]) for b in sorted(seen_bytes)]
+    # No encoding emits the marker glyph, but every trained alphabet keeps it:
+    # dropping it would renumber every merge id and change the vocabulary
+    # size, and with it every seeded model.
     if MARKER not in alphabet:
         alphabet.append(MARKER)
     base_size = len(SPECIAL_NAMES) + len(alphabet)
@@ -260,35 +252,27 @@ def train_bpe(
             updated[symbols] = updated.get(symbols, 0) + count
         words = updated
 
-    return TokenizerVocab(alphabet, merges, dict(sentinels or DEFAULT_SENTINELS))
+    return TokenizerVocab(alphabet, merges)
 
 
-def encode(text: str, vocab: TokenizerVocab, mode: str = "splitter") -> list[int]:
-    """Tokenize ``text``; word boundaries become splitter or marker tokens."""
-    if mode not in MODES:
-        raise TokenizerError(f"unknown mode {mode!r}; expected one of {MODES}")
-    boundary = vocab.splitter_id if mode == "splitter" else vocab.token_to_id[MARKER]
+def encode(text: str, vocab: TokenizerVocab) -> list[int]:
+    """Tokenize ``text``; every single space becomes the splitter token."""
     ids: list[int] = []
     for i, segment in enumerate(text.encode("utf-8").split(b" ")):
         if i > 0:
-            ids.append(boundary)
+            ids.append(vocab.splitter_id)
         ids.extend(vocab._encode_segment(segment))
     return ids
 
 
-def decode(ids: Sequence[int], vocab: TokenizerVocab, mode: str = "splitter") -> str:
-    """Inverse of ``encode`` (exact in splitter mode, best-effort otherwise)."""
-    if mode not in MODES:
-        raise TokenizerError(f"unknown mode {mode!r}; expected one of {MODES}")
-    marker_id = vocab.token_to_id[MARKER]
+def decode(ids: Sequence[int], vocab: TokenizerVocab) -> str:
+    """Exact inverse of ``encode``; other specials decode to their sentinels."""
     pieces: list[bytes] = []
     for raw in ids:
         i = int(raw)
         if i < 0 or i >= vocab.size:
             raise IndexError(f"token id {i} outside vocabulary of size {vocab.size}")
-        if i == vocab.splitter_id and mode == "splitter":
-            pieces.append(b" ")
-        elif i == marker_id and mode == "space-marked":
+        if i == vocab.splitter_id:
             pieces.append(b" ")
         elif i in vocab.special_ids:
             name = SPECIAL_NAMES[i]

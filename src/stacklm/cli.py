@@ -84,12 +84,15 @@ def _sha256(path: str) -> str:
 
 
 class RunDirectory:
-    """Owns one output directory and its manifest, which records every parsed option."""
+    """Owns one output directory and its manifest, which records every parsed option.
+
+    The directory is created when ``file`` first hands out a path in it, so
+    a run rejected for its inputs before it writes anything leaves none.
+    """
 
     def __init__(self, args: argparse.Namespace):
         root = os.environ.get("STACKLM_OUT_ROOT", "runs")
         self.path = Path(args.out) if args.out else Path(root) / args.command
-        self.path.mkdir(parents=True, exist_ok=True)
         self.command = args.command
         self.started = time.time()
         self.inputs: dict[str, str] = {}
@@ -100,6 +103,7 @@ class RunDirectory:
             self.inputs[role] = f"sha256:{_sha256(path)}"
 
     def file(self, name: str) -> str:
+        self.path.mkdir(parents=True, exist_ok=True)
         return str(self.path / name)
 
     def finalize(self, seed: Optional[int]) -> None:

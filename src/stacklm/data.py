@@ -99,8 +99,8 @@ def read_documents(path: str) -> list[str]:
     return docs
 
 
-def encode_corpus(docs: Iterable[str], vocab: TokenizerVocab, mode: str = "splitter") -> list[list[int]]:
-    return [encode(doc, vocab, mode) for doc in docs]
+def encode_corpus(docs: Iterable[str], vocab: TokenizerVocab) -> list[list[int]]:
+    return [encode(doc, vocab) for doc in docs]
 
 
 # ---------------------------------------------------------------------------

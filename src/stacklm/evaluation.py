@@ -30,6 +30,7 @@ from .optim import TrainSchedule
 from .tensor import Tensor
 
 HEAD_KINDS = ("pair-classifier", "single-classifier")
+PREDICT_BATCH_SIZE = 32
 
 
 @dataclass
@@ -218,9 +219,8 @@ def finetune(
     """Append a zero-initialized classification head and train the stack.
 
     The head replaces the pretraining heads as the model's output: the
-    masked-token and segment-order heads (and an untied ``lm_head``) are
-    neither run nor updated, and the returned parameters carry them exactly
-    as given.
+    masked-token and segment-order heads are neither run nor updated, and
+    the returned parameters carry them exactly as given.
 
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
     stops requiring ``text_b`` on every example.
@@ -260,14 +260,12 @@ def finetune(
 # ---------------------------------------------------------------------------
 
 
-def predict(
-    model: FinetunedModel, vocab: TokenizerVocab, dataset: ClassificationDataset, batch_size: int = 32
-) -> np.ndarray:
+def predict(model: FinetunedModel, vocab: TokenizerVocab, dataset: ClassificationDataset) -> np.ndarray:
     _check_vocab(model.config, vocab)
     n = len(dataset)
     outputs = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        rows = np.arange(start, min(start + batch_size, n))
+    for start in range(0, n, PREDICT_BATCH_SIZE):
+        rows = np.arange(start, min(start + PREDICT_BATCH_SIZE, n))
         batch = _classifier_batch(dataset, rows, vocab, model.config.max_seq_len)
         out = forward(
             model.params, model.config, batch.ids, mode="eval",
@@ -283,16 +281,25 @@ def evaluate(
     dataset: ClassificationDataset,
     positive_label: Optional[str] = None,
 ) -> EvalMetrics:
-    """Confusion-matrix metrics; precision/recall/F1 for binary labels only."""
+    """Confusion-matrix metrics; precision/recall/F1 for binary labels only.
+
+    ``positive_label`` must be one of the labels, and only a binary label
+    vocabulary takes one; anything else raises ``InputError``.
+    """
+    labels = dataset.label_vocab
+    if positive_label is not None:
+        if positive_label not in labels:
+            raise InputError(f"positive label {positive_label!r} is not in the label vocabulary {labels}")
+        if len(labels) != 2:
+            raise InputError(f"positive label {positive_label!r} given for {len(labels)} labels {labels}: "
+                             "precision, recall and F1 are binary-only")
     _check_evaluable(dataset)
     predictions = predict(model, vocab, dataset)
     truth = dataset.labels_as_ids()
-    if len(dataset.label_vocab) == 2:
+    if len(labels) == 2:
         if positive_label is None:
-            positive_label = "1" if "1" in dataset.label_vocab else dataset.label_vocab[-1]
-        if positive_label not in dataset.label_vocab:
-            raise InputError(f"positive label {positive_label!r} is not in the label vocabulary {dataset.label_vocab}")
-        pos = dataset.label_vocab.index(positive_label)
+            positive_label = "1" if "1" in labels else labels[-1]
+        pos = labels.index(positive_label)
         tp = int(np.sum((predictions == pos) & (truth == pos)))
         fp = int(np.sum((predictions == pos) & (truth != pos)))
         fn = int(np.sum((predictions != pos) & (truth == pos)))
@@ -300,7 +307,7 @@ def evaluate(
         return metrics_from_confusion(tp, fp, fn, tn)
     counts = {}
     for t, p in zip(truth, predictions):
-        key = f"{dataset.label_vocab[t]}->{dataset.label_vocab[p]}"
+        key = f"{labels[t]}->{labels[p]}"
         counts[key] = counts.get(key, 0) + 1
     return EvalMetrics(accuracy=float(np.mean(predictions == truth)), confusion=counts)
 
@@ -387,19 +394,18 @@ _LEXICON = (
     "amber breeze cedar dusk ember frost gale harbor iris juniper "
     "kestrel lagoon meadow nectar opal prairie quartz raven summit thicket"
 ).split()
+_SYNTHETIC_WORDS = 3
 
 
-def make_synthetic_pair_task(
-    n_examples: int, seed: int, split: str = "train", n_words: int = 3
-) -> ClassificationDataset:
-    """Balanced paraphrase-style pair task: label 1 iff the first words match."""
+def make_synthetic_pair_task(n_examples: int, seed: int, split: str = "train") -> ClassificationDataset:
+    """Balanced paraphrase-style pair task over three-word texts: label 1 iff the first words match."""
     rng = np.random.default_rng((0x5E7, seed, 0 if split == "train" else 1))
     examples = []
     for i in range(n_examples):
         label = i % 2
         first = rng.choice(_LEXICON)
-        rest_a = rng.choice(_LEXICON, size=n_words - 1)
-        rest_b = rng.choice(_LEXICON, size=n_words - 1)
+        rest_a = rng.choice(_LEXICON, size=_SYNTHETIC_WORDS - 1)
+        rest_b = rng.choice(_LEXICON, size=_SYNTHETIC_WORDS - 1)
         if label == 1:
             first_b = first
         else:

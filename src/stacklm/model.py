@@ -8,10 +8,12 @@ Self- and cross-attention differ only in their projections (a fused
 ``w_qkv`` against separate ``w_q``/``w_k``/``w_v``) and share one attention
 core.  Every stack (the single stack, the encoder and the decoder) is
 embedding, blocks and a final layer norm.  ``forward`` has one body and one
-output head; the encoder-only family adds its masked-token transform before
-that head and the pooler and segment-order head beside it.  A fine-tuned
-encoder (one whose parameters carry ``classifier_head``) has the classifier
-over the pooled output as its only head: the pretraining heads do not run.
+output head, the transposed token embedding: the input embedding is always
+the output layer, so there is no separate ``lm_head``.  The encoder-only
+family adds its masked-token transform before that head and the pooler and
+segment-order head beside it.  A fine-tuned encoder (one whose parameters
+carry ``classifier_head``) has the classifier over the pooled output as its
+only head: the pretraining heads do not run.
 
 ``parameter_inventory`` is the single source of truth for parameter names
 and shapes; ``build_model`` instantiates exactly that inventory and
@@ -67,7 +69,6 @@ class ModelConfig:
     vocab_size: int
     max_seq_len: int = 0  # 0 resolves to the family default (512 encoder-only, 1024 otherwise)
     dropout_p: float = 0.1
-    tie_embeddings: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -168,8 +169,6 @@ def parameter_inventory(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], st
             ("sop.w", (d, 2), "normal"),
             ("sop.b", (2,), "zeros"),
         ]
-    if not cfg.tie_embeddings:
-        inv.append(("lm_head", (d, v), "normal"))
     return inv
 
 
@@ -387,7 +386,7 @@ def forward(
     sop_logits = pooled = None
     if "cls.w" not in params:
         h = _norm(T.gelu(_linear(x, params, "mlm", "_transform")), params, "mlm.ln") if cfg.family == "encoder-only" else x
-        logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)) if cfg.tie_embeddings else params["lm_head"])
+        logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)))
         if cfg.family == "encoder-only":
             logits = T.add(logits, params["mlm.bias"])
     if cfg.family == "encoder-only":
@@ -407,18 +406,12 @@ def forward(
 
 
 def config_to_text(cfg: ModelConfig) -> str:
-    lines = []
-    for f in fields(ModelConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(ModelConfig))
 
 
 def config_from_text(text: str, source: str = "<config>") -> ModelConfig:
     """Parse the ``key = value`` config grammar (``#`` starts a comment)."""
-    known = {f.name: f.type for f in fields(ModelConfig)}
+    known = {f.name for f in fields(ModelConfig)}
     kwargs: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -436,10 +429,6 @@ def config_from_text(text: str, source: str = "<config>") -> ModelConfig:
                 kwargs[key] = value
             elif key == "dropout_p":
                 kwargs[key] = float(value)
-            elif key == "tie_embeddings":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"must be true or false, got {value!r}")
-                kwargs[key] = value.lower() == "true"
             else:
                 kwargs[key] = int(value)
         except ValueError as exc:

@@ -3,10 +3,11 @@
 Clipping also unscales, and its non-finite global norm is the one overflow
 signal that the ``LossScaler`` state machine acts on.
 
-Weight decay is decoupled (applied to the parameter before the Adam delta,
-never mixed into the gradient).  Matrices decay; vectors (biases and norm
-gains) and the embedding tables do not, following the model lineage these
-recipes come from.
+Adam runs with the AdamW constants below (beta1 0.9, beta2 0.999, eps
+1e-8, weight decay 0.01).  Weight decay is decoupled (applied to the
+parameter before the Adam delta, never mixed into the gradient).  Matrices
+decay; vectors (biases and norm gains) and the embedding tables do not,
+following the model lineage these recipes come from.
 """
 
 from __future__ import annotations
@@ -90,13 +91,10 @@ def clip_global_norm(
     return {name: g * factor for name, g in grads.items()}, norm
 
 
-@dataclass(frozen=True)
-class AdamHyperparams:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 _EMBEDDING_NAMES = frozenset({"tok_emb", "pos_emb", "type_emb"})
 
@@ -108,8 +106,7 @@ def wants_weight_decay(name: str, shape: tuple[int, ...]) -> bool:
 class OptimizerState:
     """Per-parameter Adam moments plus the shared step counter."""
 
-    def __init__(self, params: ModelParams, hyper: AdamHyperparams = AdamHyperparams()):
-        self.hyper = hyper
+    def __init__(self, params: ModelParams):
         self.step = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -122,24 +119,23 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: Optimize
     Only the parameters ``grads`` names are updated; the others, and their
     moments, are left as they are.
     """
-    h = state.hyper
     state.step += 1
-    c1 = 1.0 - h.beta1 ** state.step
-    c2 = 1.0 - h.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, g in grads.items():
         tensor = params[name]
         if g.shape != tensor.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {tensor.shape}")
-        if state.decay[name] and h.weight_decay != 0.0 and lr != 0.0:
-            tensor.data *= 1.0 - lr * h.weight_decay
+        if state.decay[name] and lr != 0.0:
+            tensor.data *= 1.0 - lr * WEIGHT_DECAY
         m = state.m[name]
         v = state.v[name]
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * np.square(g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
         if lr != 0.0:
-            tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + h.eps)
+            tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass

@@ -267,10 +267,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record((a,), a.data.reshape(shape), backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis (used to split fused projections)."""
+def _gather(a: Tensor, axis: int, key) -> Tensor:
+    """``a.data`` indexed by ``key`` along ``axis`` (basic indexing); the
+    gradient scatters into zeros."""
     index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
+    index[axis] = key
     index = tuple(index)
 
     def backward(g):
@@ -281,18 +282,14 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record((a,), a.data[index].copy(), backward)
 
 
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice along one axis (used to split fused projections)."""
+    return _gather(a, axis, slice(start, start + length))
+
+
 def select(a: Tensor, index: int, axis: int) -> Tensor:
     """Pick one position along ``axis`` (removing the axis)."""
-    taken = np.take(a.data, index, axis=axis)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.ndim
-        sl[axis] = index
-        full[tuple(sl)] = g
-        return (full,)
-
-    return _record((a,), taken.copy(), backward)
+    return _gather(a, axis, index)
 
 
 def sum_all(a: Tensor) -> Tensor:

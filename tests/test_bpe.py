@@ -16,6 +16,7 @@ def base_size(vocab):
 
 def test_single_candidate_pair_is_merged_first():
     vocab = train_bpe("aaaa", BASE + 2 + 1)  # specials + {a, marker} + one merge
+    assert vocab.alphabet == [b"a", bpe.MARKER]
     assert vocab.merges[0] == (b"a", b"a")
 
 
@@ -83,21 +84,12 @@ def test_whole_word_merges_to_single_token(english_vocab):
     assert tail[-1] == ids[0]
 
 
-def test_space_marked_mode_inserts_marker(english_vocab):
-    marker_id = english_vocab.token_to_id[bpe.MARKER]
-    ids = encode("happy days", english_vocab, mode="space-marked")
-    assert marker_id in ids
-    assert english_vocab.splitter_id not in ids
-    assert decode(ids, english_vocab, mode="space-marked") == "happy days"
-
-
 def test_decode_specials(english_vocab):
     v = english_vocab
     assert decode([v.eod_id], v) == "<|eod|>"
     assert decode([v.mask_id, v.pad_id, v.unknown_id], v) == "<|mask|><|pad|><|unk|>"
-    # splitter decodes to a space in splitter mode, sentinel otherwise
+    # the splitter decodes to the space it encodes
     assert decode([v.splitter_id], v) == " "
-    assert decode([v.splitter_id], v, mode="space-marked") == "<|split|>"
 
 
 def test_decode_rejects_unknown_id(english_vocab):

@@ -12,7 +12,7 @@ import pytest
 
 from stacklm.cli import main
 import stacklm
-from stacklm.evaluation import FinetuneSettings, finetune, make_synthetic_pair_task
+from stacklm.evaluation import FinetuneSettings, finetune, load_tsv_dataset, make_synthetic_pair_task
 from stacklm.model import ModelConfig, build_model, save_checkpoint
 from stacklm import bpe
 from test_evaluation import failing_build_at_depth
@@ -97,6 +97,12 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     tuned = finetune(build_model(cfg, seed=0), cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
                      FinetuneSettings(max_steps=0))
     save_checkpoint(str(tmp_path / "tuned.npz"), tuned.params, cfg, extra={"label_vocab": tuned.label_vocab})
+    # a three-label fine-tune, for which precision, recall and F1 are undefined
+    three_tsv = tmp_path / "three.tsv"
+    three_tsv.write_text("text_a\tlabel\nsome words\ta\nwords repeat\tb\nrepeat some\tc\n")
+    three = load_tsv_dataset(str(three_tsv), "train")
+    tuned3 = finetune(build_model(cfg, seed=0), cfg, vocab, three, "single-classifier", FinetuneSettings(max_steps=0))
+    save_checkpoint(str(tmp_path / "tuned3.npz"), tuned3.params, cfg, extra={"label_vocab": tuned3.label_vocab})
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
     (tmp_path / "short-row.csv").write_text("model,time,steps,gpus,reported_eflops\nTINY,1h\n")
     (tmp_path / "negative.csv").write_text("model,time,steps,gpus\nTINY,1h,5K,-2\n")
@@ -153,6 +159,8 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
             f"vocab_size {vocab.size}",
         ("eval", "--checkpoint", str(tmp_path / "tuned.npz"), "--vocab", str(vocab_path), "--data", str(tsv),
          "--positive-label", "yes"): "'yes' is not in the label vocabulary ['0', '1']",
+        ("eval", "--checkpoint", str(tmp_path / "tuned3.npz"), "--vocab", str(vocab_path), "--data", str(three_tsv),
+         "--positive-label", "a"): "precision, recall and F1 are binary-only",
     }
     cases += [list(argv) for argv in named]
     for bad in ("long.tsv", "latin1.tsv"):
@@ -171,7 +179,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
         assert named.get(tuple(argv), "") in err[0], err
-        assert not any((tmp_path / f"run{i}").glob("sweep*.csv")), argv
+        assert not (tmp_path / f"run{i}").exists(), argv
 
 
 def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):

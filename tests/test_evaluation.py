@@ -279,6 +279,24 @@ def test_multiclass_yields_accuracy_only(vocab):
     assert metrics.confusion
 
 
+def test_positive_label_must_be_a_label_of_a_binary_task(vocab):
+    cfg = encoder_cfg(vocab, n_layers=1)
+    examples = [LabeledExample(t, None, l) for t, l in [("amber breeze", "x"), ("cedar dusk", "y"), ("gale", "z")]]
+    three = ClassificationDataset(examples, "dev", ["x", "y", "z"])
+    model = finetune(build_model(cfg, seed=0), cfg, vocab, three, "single-classifier", FinetuneSettings(max_steps=0))
+    with pytest.raises(InputError, match=re.escape("'zzz' is not in the label vocabulary ['x', 'y', 'z']")):
+        evaluate(model, vocab, three, positive_label="zzz")
+    with pytest.raises(InputError, match="given for 3 labels .*binary-only"):
+        evaluate(model, vocab, three, positive_label="x")
+    assert evaluate(model, vocab, three).precision is None
+    two = make_synthetic_pair_task(8, seed=0)
+    model = finetune(build_model(cfg, seed=0), cfg, vocab, two, "pair-classifier", FinetuneSettings(max_steps=0))
+    with pytest.raises(InputError, match=re.escape("'zzz' is not in the label vocabulary ['0', '1']")):
+        evaluate(model, vocab, two, positive_label="zzz")
+    # the untrained head predicts the first label, "0", for every example
+    assert evaluate(model, vocab, two, positive_label="0").confusion == {"tp": 4, "fp": 4, "fn": 0, "tn": 0}
+
+
 # ---------------------------------------------------------------------------
 # depth sweep
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import re
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stacklm import tensor as T
+from stacklm.cost import reference_model_configs
 from stacklm.model import (
     FAMILIES,
     ConfigError,
@@ -27,6 +29,8 @@ from stacklm.model import (
     save_checkpoint,
 )
 from stacklm.tensor import DropoutRng, Tape, Tensor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny(family, n_layers=2, vocab=13, **kw):
@@ -48,9 +52,8 @@ def test_minimal_decoder_logit_shape():
 
 
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
-@pytest.mark.parametrize("tie", [True, False])
-def test_count_equals_instantiated_elements(family, tie):
-    cfg = tiny(family, n_layers=4, tie_embeddings=tie)
+def test_count_equals_instantiated_elements(family):
+    cfg = tiny(family, n_layers=4)
     params = build_model(cfg, seed=1)
     assert count_params(cfg) == params.element_count()
 
@@ -69,7 +72,6 @@ def test_count_equals_instantiated_on_random_configs():
             d_head=4,
             vocab_size=int(rng.integers(8, 40)),
             max_seq_len=int(rng.integers(4, 16)),
-            tie_embeddings=bool(rng.integers(2)),
         )
         assert count_params(cfg) == build_model(cfg, seed=0).element_count()
 
@@ -100,7 +102,7 @@ def test_residual_projection_init_scale():
 
 
 def test_tied_embeddings_share_storage():
-    cfg = tiny("decoder-only", tie_embeddings=True)
+    cfg = tiny("decoder-only")
     params = build_model(cfg, seed=0)
     assert "lm_head" not in params
     ids = np.array([[1, 2, 3]])
@@ -339,8 +341,30 @@ def test_config_parse_errors():
     # a value that fails to parse names the source, the line and the key
     with pytest.raises(ConfigError, match="^t.cfg:2: n_layers: "):
         config_from_text(valid.replace("n_layers = 2", "n_layers = two"), source="t.cfg")
-    with pytest.raises(ConfigError, match="^t.cfg:7: tie_embeddings: "):
-        config_from_text(valid + "tie_embeddings = maybe", source="t.cfg")
+    with pytest.raises(ConfigError, match="^t.cfg:7: unknown config key 'bias_init'"):
+        config_from_text(valid + "bias_init = zeros", source="t.cfg")
+
+
+def test_bundled_configs_are_canonical_reference_rows():
+    # the configs and the bundled model table are two sources for the same architectures
+    paths = sorted(CONFIGS.glob("*.cfg"))
+    references = reference_model_configs()
+    assert len(paths) == len(references) == 20
+    for path in paths:
+        cfg = load_config(str(path))
+        assert path.read_text(encoding="utf-8") == config_to_text(cfg), path.name
+        assert cfg == references[path.stem.upper()], path.name
+
+
+def test_tie_embeddings_key_is_rejected(tmp_path):
+    # the input embedding is always the output layer; the old switch is an unknown key
+    text = config_to_text(tiny("encoder-only")) + "tie_embeddings = true\n"
+    with pytest.raises(ConfigError, match="unknown config key 'tie_embeddings'"):
+        config_from_text(text)
+    path = tmp_path / "old.npz"
+    _checkpoint_with_meta(path, json.dumps({"version": 1, "config": text, "extra": {}}).encode("utf-8"))
+    with pytest.raises(ConfigError, match="unknown config key 'tie_embeddings'"):
+        load_checkpoint(str(path))
 
 
 def test_load_config_rejects_undecodable_bytes(tmp_path):
