@@ -4,8 +4,10 @@ Every invocation owns one run directory (``--out``, defaulting to
 ``$STACKLM_OUT_ROOT/<command>`` or ``./runs/<command>``) and writes exactly
 one ``manifest.json`` there: the command, every parsed option (plus what
 the command resolves from them, such as a model config), the seed,
-the toolkit version, SHA-256 hashes of the file inputs and start/end
-timestamps.  A rerun with an equal manifest produces equal outputs.
+the toolkit version, SHA-256 hashes of the file inputs, start/end
+timestamps and the runtime settings: the malloc thresholds ``main``
+applied and, for ``pretrain``, the processes its shards ran on and the BLAS
+threads of each.  A rerun with an equal manifest produces equal outputs.
 
 The ``--toy`` profile scales the pretraining recipe down by documented
 factors (depth -> min(depth, 2), width -> 64, heads -> 4, head width -> 16,
@@ -38,7 +40,15 @@ from .cost import (
     render_cost_csv,
     render_cost_report,
 )
-from .engine import EngineConfig, TrainEngine, save_engine_checkpoint, train_loop, write_metrics
+from .engine import (
+    EngineConfig,
+    TrainEngine,
+    blas_threads,
+    save_engine_checkpoint,
+    shard_processes,
+    train_loop,
+    write_metrics,
+)
 from .evaluation import (
     FinetuneSettings,
     FinetunedModel,
@@ -74,6 +84,23 @@ TOY_PROFILE = {
     "max_depth": 2,
 }
 
+# glibc malloc thresholds (mallopt parameter, value) that main() applies.
+# With the defaults every numpy temporary above 128 KiB is mapped and
+# unmapped again on every operation, which costs a page fault per page.
+MALLOC_SETTINGS = {"M_MMAP_THRESHOLD": (-3, 32 * 2**20), "M_TRIM_THRESHOLD": (-1, 2**30)}
+
+
+def apply_malloc_settings() -> dict[str, int]:
+    """Set ``MALLOC_SETTINGS`` through glibc's ``mallopt``; returns those applied, none where there is no ``mallopt``."""
+    import ctypes  # here, not at import: a library must not retune its host process's allocator
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return {}
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return {name: value for name, (param, value) in MALLOC_SETTINGS.items() if mallopt(param, value) == 1}
+
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -96,7 +123,8 @@ class RunDirectory:
         self.command = args.command
         self.started = time.time()
         self.inputs: dict[str, str] = {}
-        self.options: dict[str, object] = {k: v for k, v in vars(args).items() if k != "fn"}
+        self.options: dict[str, object] = {k: v for k, v in vars(args).items() if k not in ("fn", "runtime")}
+        self.runtime: dict[str, object] = dict(getattr(args, "runtime", {}))
 
     def record_input(self, role: str, path: Optional[str]) -> None:
         if path:
@@ -115,6 +143,7 @@ class RunDirectory:
             "input_hashes": self.inputs,
             "started_unix": self.started,
             "finished_unix": time.time(),
+            "runtime": self.runtime,
         }
         with atomic_write(self.file("manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -187,6 +216,7 @@ def cmd_pretrain(args) -> int:
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
 
     run.options.update(batch_size=batch_size, resolved_model_config=dataclasses.asdict(cfg))
+    run.runtime.update(shard_processes=shard_processes(args.shards), blas_threads=blas_threads())
 
     streams = datap.encode_corpus(docs, vocab)
     packed = datap.pack_documents(streams, cfg.max_seq_len, vocab.eod_id, vocab.pad_id)
@@ -386,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="existing vocabulary file (default: train one)")
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--shards", type=int, default=1, help="simulated data-parallel shards")
+    p.add_argument("--shards", type=int, default=1, help="data-parallel shards, run in parallel on the usable cores")
     p.add_argument("--toy", action="store_true", help="scale the config down to the toy profile")
     p.add_argument("--recompute", action="store_true", help="recompute activations during backward")
     p.add_argument("--no-loss-scaler", action="store_true", help="disable dynamic loss scaling")
@@ -449,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.runtime = {"malloc": apply_malloc_settings()}
     try:
         return args.fn(args)
     except (OSError, ValueError, RuntimeError) as exc:

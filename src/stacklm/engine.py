@@ -1,4 +1,4 @@
-"""Training engine: one-step recipe and deterministic simulated data parallelism.
+"""Training engine: one-step recipe and deterministic data parallelism.
 
 A step runs one training forward (optionally discarding per-layer
 activations and recomputing them during backward), takes the loss that
@@ -18,6 +18,20 @@ floating-point rounding.  A parameter the loss never reached
 (a fine-tuned encoder's pretraining heads) has no gradient and is neither
 clipped nor updated.
 
+Shards run on the machine's cores.  A step with more than one shard uses
+``shard_processes(n_shards)`` processes: as many as the usable cores hold
+at the configured BLAS threads per process, and never more than there are
+shards.  The parent runs the first contiguous block of shards and forked
+workers run the others, each its own block.  The parent copies its
+parameters into one shared anonymous mapping before each step, and every
+worker writes each of its shards' gradients into its own shared slot.  The
+parent then adds them to its own sum in shard-index order, so every float
+operation runs in the order of the one-process loop and the result is
+bit-identical to it.  The workers are forked at an engine's first
+multi-process step and close with the engine.  A worker sees module state
+as it was when it was forked: a function patched into ``stacklm`` later
+does not reach it.
+
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
 counters, loss-scaler state and Adam moments, and restores bit-identical
@@ -28,8 +42,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import weakref
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -46,6 +62,15 @@ from .optim import (
     lr_at,
 )
 from .tensor import DropoutRng, Tape
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_SLOT_ALIGN = 64  # bytes; every parameter and gradient view in a shared mapping starts on a cache line
+_JOIN_TIMEOUT_S = 5.0
+
+# The parent's end of every open worker pipe.  A fork copies all of them, and
+# a worker closes its copies first, so that each worker sees end-of-file as
+# soon as its own parent end closes, or its parent dies.
+_PARENT_ENDS: set = set()
 
 
 @dataclass
@@ -74,6 +99,189 @@ def write_metrics(stream: TextIO, metrics: StepMetrics) -> None:
     stream.flush()
 
 
+# -- shards on the machine's cores --------------------------------------------
+
+
+def _usable_cores() -> int:
+    # Only Linux reports the cores this process may use.  Elsewhere count one,
+    # so shards stay in this process: Windows cannot fork, and macOS's
+    # Accelerate BLAS is not safe to use in a forked child.
+    sched_getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(sched_getaffinity(0)) if sched_getaffinity else 1
+
+
+def blas_threads() -> int:
+    """BLAS threads per process: the first positive thread-count variable, else OpenBLAS's default of one per core."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if threads > 0:
+            return threads
+    return _usable_cores()
+
+
+def shard_processes(n_shards: int) -> int:
+    """Processes a step of ``n_shards`` shards runs on, each with cores of its own for its BLAS threads."""
+    if n_shards < 2:
+        return 1
+    return max(1, min(n_shards, _usable_cores() // blas_threads()))
+
+
+def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, step: int, scale: float,
+                shard: PackedSequenceBatch, batch: PackedSequenceBatch) -> float:
+    """Forward and backward of one shard: leaves ``scale`` times its gradients in ``params``, returns its loss."""
+    params.zero_grads()
+    rng = DropoutRng(cfg.seed, step, shard.example_ids)
+    with Tape() as tape:
+        out = forward(
+            params, model_cfg, shard.ids, mode="train", rng=rng,
+            recompute=cfg.recompute_activations,
+            type_ids=shard.type_ids, attention_mask=shard.attention_mask,
+            source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
+        )
+        loss = objectives.loss(out, shard, batch)
+        del out  # leave the outputs to the tape, which frees them as backward consumes it
+    tape.backward(loss, seed_grad=scale)
+    return float(loss.data)
+
+
+def _accumulate(combined: dict[str, np.ndarray], grads: Iterable[tuple[str, np.ndarray]], shared: bool) -> None:
+    """Add ``grads`` into ``combined`` in place; a ``shared`` array is a worker's slot, rewritten next step."""
+    for name, g in grads:
+        if name in combined:
+            combined[name] += g
+        else:
+            combined[name] = g.copy() if shared else g
+
+
+def _layout(params: ModelParams) -> tuple:
+    return tuple((name, t.data.shape, t.data.dtype.str) for name, t in params.items())
+
+
+def _packing(layout: tuple) -> tuple[list[int], int]:
+    """Byte offset of each ``layout`` entry, packed at cache-line boundaries, and the bytes they span."""
+    offsets, end = [], 0
+    for _, shape, dtype in layout:
+        offsets.append(end)
+        end += -(-int(np.prod(shape)) * np.dtype(dtype).itemsize // _SLOT_ALIGN) * _SLOT_ALIGN
+    return offsets, end
+
+
+def _worker_main(conn, params: ModelParams, shards: range, n_shards: int,
+                 param_views: dict[str, np.ndarray], slots: list[dict[str, np.ndarray]]) -> None:
+    """A forked shard worker: one request per step, until end-of-file on ``conn``."""
+    import signal
+
+    for end in _PARENT_ENDS:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for name, t in params.items():
+        t.data = param_views[name]
+    while True:
+        try:
+            batch, model_cfg, cfg, step, scale = conn.recv()
+        except EOFError:
+            return
+        try:
+            results = []
+            for index, slot in zip(shards, slots):
+                loss = _shard_pass(params, model_cfg, cfg, step, scale, batch.shard(index, n_shards), batch)
+                missing = []
+                for name, t in params.items():
+                    if t.grad is None:
+                        missing.append(name)
+                    else:
+                        np.copyto(slot[name], t.grad, casting="no")
+                results.append((loss, missing))
+            params.zero_grads()
+            reply = (None, results)
+        except Exception as exc:
+            reply = (type(exc), str(exc))
+        try:
+            conn.send(reply)
+        except OSError:  # the parent closed the pool during this step
+            return
+
+
+class _ShardWorkers:
+    """The forked workers of one engine: worker ``r`` runs the ``r``-th block of shards after the parent's."""
+
+    def __init__(self, params: ModelParams, n_shards: int, n_procs: int):
+        import mmap
+        import multiprocessing  # about 13 ms; only a multi-process step pays it
+
+        context = multiprocessing.get_context("fork")
+        self.owner = os.getpid()
+        layout = _layout(params)
+        self.key = (n_shards, n_procs, layout)
+        offsets, nbytes = _packing(layout)
+
+        def views(buffer, base: int = 0) -> dict[str, np.ndarray]:
+            return {name: np.ndarray(shape, dtype, buffer=buffer, offset=base + offset)
+                    for (name, shape, dtype), offset in zip(layout, offsets)}
+
+        self.param_views = views(mmap.mmap(-1, nbytes))
+        self.conns: list = []
+        self.procs: list = []
+        self.slots: list[list[dict[str, np.ndarray]]] = []
+        try:
+            for r in range(1, n_procs):
+                shards = range(r * n_shards // n_procs, (r + 1) * n_shards // n_procs)
+                grads = mmap.mmap(-1, nbytes * len(shards))
+                slots = [views(grads, i * nbytes) for i in range(len(shards))]
+                conn, child_end = context.Pipe()
+                _PARENT_ENDS.add(conn)
+                self.conns.append(conn)
+                proc = context.Process(
+                    target=_worker_main, args=(child_end, params, shards, n_shards, self.param_views, slots),
+                    daemon=True,
+                )
+                proc.start()
+                child_end.close()  # so that a dead worker is end-of-file here
+                self.procs.append(proc)
+                self.slots.append(slots)
+        except BaseException:
+            self.close()
+            raise
+
+    def start_step(self, params: ModelParams, batch: PackedSequenceBatch, model_cfg: ModelConfig,
+                   cfg: EngineConfig, step: int, scale: float) -> None:
+        for name, t in params.items():
+            np.copyto(self.param_views[name], t.data)
+        request = (batch, model_cfg, cfg, step, scale)
+        for conn, proc in zip(self.conns, self.procs):
+            try:
+                conn.send(request)
+            except OSError:
+                raise RuntimeError(f"shard worker {proc.pid} exited between steps") from None
+
+    def gather(self) -> Iterator[tuple[float, Iterator[tuple[str, np.ndarray]]]]:
+        """Each worker shard's loss and gradient views, in shard-index order; a worker's error is raised here."""
+        for conn, proc, slots in zip(self.conns, self.procs, self.slots):
+            try:
+                error, payload = conn.recv()
+            except (EOFError, OSError):
+                raise RuntimeError(f"shard worker {proc.pid} exited during a step") from None
+            if error is not None:
+                raise error(payload)
+            for slot, (loss, missing) in zip(slots, payload):
+                yield loss, ((name, g) for name, g in slot.items() if name not in missing)
+
+    def close(self) -> None:
+        if os.getpid() != self.owner:  # a forked copy of another engine's workers, collected in a worker
+            return
+        for conn in self.conns:
+            _PARENT_ENDS.discard(conn)
+            conn.close()
+        for proc in self.procs:
+            proc.join(_JOIN_TIMEOUT_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+
 class TrainEngine:
     """Owns the parameters, optimizer state and step counter for one run."""
 
@@ -87,6 +295,8 @@ class TrainEngine:
             LossScaler() if engine_cfg.use_loss_scaler else LossScaler(1.0, growth_factor=1.0, backoff_factor=1.0)
         )
         self.step = 0
+        self._workers: Optional[_ShardWorkers] = None
+        self._workers_finalizer: Optional[weakref.finalize] = None
 
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
         """One decision from the global norm of ``grads``, which carry the loss scale."""
@@ -109,38 +319,49 @@ class TrainEngine:
 
     # -- public steps --------------------------------------------------------
 
+    def _shard_workers(self, n_shards: int, n_procs: int) -> _ShardWorkers:
+        """This engine's workers for the step's shard split, forked anew when it or the parameter layout changed."""
+        key = (n_shards, n_procs, _layout(self.params))
+        if self._workers is None or self._workers.key != key:
+            self._close_workers()
+            self._workers = _ShardWorkers(self.params, n_shards, n_procs)
+            self._workers_finalizer = weakref.finalize(self, self._workers.close)
+        return self._workers
+
+    def _close_workers(self) -> None:
+        if self._workers is not None:
+            self._workers_finalizer()
+            self._workers = None
+
     def _scaled_gradients(self, batch: PackedSequenceBatch, n_shards: int) -> tuple[dict[str, np.ndarray], float]:
         """Forward/backward only: (loss-scale times gradients, unscaled loss).
 
         Every shard loss is normalized over the full batch and shard
         gradients are summed, in place into the first shard's arrays, in
-        fixed shard-index order.
+        fixed shard-index order: this process's block of shards first, then
+        each worker's, while the workers compute theirs alongside.
         """
+        n_procs = shard_processes(n_shards)
+        # the parent's block, at least one shard so that ``shard`` rejects
+        # n_shards < 1; cutting it first rejects a bad count before any fork
+        own = [batch.shard(index, n_shards) for index in range(max(n_shards, 1) // n_procs)]
+        workers = self._shard_workers(n_shards, n_procs) if n_procs > 1 else None
         combined: dict[str, np.ndarray] = {}
         loss_total = 0.0
-        # at least one pass, so that ``shard`` rejects n_shards < 1
-        for index in range(max(n_shards, 1)):
-            shard = batch.shard(index, n_shards)
-            self.params.zero_grads()
-            rng = DropoutRng(self.cfg.seed, self.step, shard.example_ids)
-            with Tape() as tape:
-                out = forward(
-                    self.params, self.model_cfg, shard.ids, mode="train", rng=rng,
-                    recompute=self.cfg.recompute_activations,
-                    type_ids=shard.type_ids, attention_mask=shard.attention_mask,
-                    source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
-                )
-                loss = objectives.loss(out, shard, batch)
-                del out  # leave the outputs to the tape, which frees them as backward consumes it
-            tape.backward(loss, seed_grad=self.scaler.scale)
-            for name, t in self.params.items():
-                if t.grad is None:
-                    continue
-                if name in combined:
-                    combined[name] += t.grad
-                else:
-                    combined[name] = t.grad
-            loss_total += float(loss.data)
+        scale = self.scaler.scale
+        try:
+            if workers is not None:
+                workers.start_step(self.params, batch, self.model_cfg, self.cfg, self.step, scale)
+            for shard in own:
+                loss_total += _shard_pass(self.params, self.model_cfg, self.cfg, self.step, scale, shard, batch)
+                _accumulate(combined, ((name, t.grad) for name, t in self.params.items() if t.grad is not None), False)
+            if workers is not None:
+                for loss, grads in workers.gather():
+                    loss_total += loss
+                    _accumulate(combined, grads, True)
+        except BaseException:
+            self._close_workers()
+            raise
         self.params.zero_grads()
         return combined, loss_total
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -273,6 +274,29 @@ def test_pretrain_artifacts(pretrain_run):
     manifest = json.loads((pretrain_run / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["options"]["resolved_model_config"]["n_layers"] == 2  # toy profile cap
+
+
+def test_pretrain_on_shard_workers_records_runtime_and_reproduces_one_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    runs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+        out = tmp_path / str(cores)
+        rc = main([
+            "pretrain", "--config", str(CONFIGS / "bert-c.cfg"), "--corpus", str(TOY_CORPUS),
+            "--toy", "--steps", "3", "--shards", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        runtime = json.loads((out / "manifest.json").read_text())["runtime"]
+        assert (runtime["shard_processes"], runtime["blas_threads"]) == (cores, 1)
+        runs[cores] = out
+    if platform.libc_ver()[0] == "glibc":
+        assert runtime["malloc"] == {"M_MMAP_THRESHOLD": 32 * 2**20, "M_TRIM_THRESHOLD": 2**30}
+    assert (runs[1] / "metrics.jsonl").read_bytes() == (runs[2] / "metrics.jsonl").read_bytes()
+    with np.load(runs[1] / "engine.npz") as one, np.load(runs[2] / "engine.npz") as two:
+        assert one.files == two.files
+        for name in one.files:
+            assert np.array_equal(one[name], two[name]), name
 
 
 def test_pretrain_rerun_reproduces_metrics(pretrain_run, tmp_path):

@@ -1,0 +1,189 @@
+"""Shards on forked workers: bit-identical to the one-process loop, and no worker outlives its owner.
+
+The tests make the engine see two usable cores at one BLAS thread (the
+digest test also one core), so a multi-shard step runs on at most two
+processes: the parent and one worker.
+"""
+
+import gc
+import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from stacklm import objectives
+from stacklm.data import DataError
+from stacklm.engine import shard_processes, train_loop
+from test_engine import family_batches, lm_batches, model_and_engine
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# shards fork only where the engine can read the usable cores
+pytestmark = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="shard workers run on Linux only")
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    use_cores(monkeypatch, 2)
+    assert shard_processes(2) == shard_processes(4) == 2
+    assert shard_processes(1) == 1
+
+
+def run_digest(family, n_shards, recompute, expect_worker):
+    _, params, engine = model_and_engine(family=family, seed=5, recompute=recompute)
+    history = train_loop(engine, family_batches(family, batch_size=8), 3, n_shards=n_shards)
+    assert bool(multiprocessing.active_children()) == expect_worker
+    digest = hashlib.sha256()
+    for metrics in history:
+        digest.update(metrics.to_json().encode())
+    for name, t in params.items():
+        for array in (t.data, engine.optimizer.m[name], engine.optimizer.v[name]):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_worker_steps_are_bit_identical_to_one_process(family, monkeypatch):
+    cases = [(n_shards, recompute) for n_shards in (2, 4) for recompute in (False, True)]
+    use_cores(monkeypatch, 1)
+    alone = [run_digest(family, *case, expect_worker=False) for case in cases]
+    use_cores(monkeypatch, 2)
+    forked = [run_digest(family, *case, expect_worker=True) for case in cases]
+    assert forked == alone
+
+
+class ShardFailure(Exception):
+    pass
+
+
+def test_worker_error_reaches_parent_and_closes_workers(two_processes, monkeypatch):
+    parent = os.getpid()
+    loss = objectives.loss
+
+    def failing_in_worker(out, shard, batch):
+        if os.getpid() != parent:
+            raise ShardFailure(f"bad shard {shard.example_ids.tolist()}")
+        return loss(out, shard, batch)
+
+    monkeypatch.setattr(objectives, "loss", failing_in_worker)
+    _, _, engine = model_and_engine()
+    batch = lm_batches()(0)
+    with pytest.raises(ShardFailure, match=r"^bad shard \[2, 3\]$"):
+        engine.data_parallel_step(batch, 2)
+    assert multiprocessing.active_children() == []
+    assert engine.step == 0
+
+    # the next step forks afresh, from the module state it then finds
+    monkeypatch.setattr(objectives, "loss", loss)
+    engine.data_parallel_step(batch, 2)
+    assert engine.step == 1
+
+
+def test_no_worker_outlives_its_engine(two_processes):
+    _, _, engine = model_and_engine()
+    engine.data_parallel_step(lm_batches()(0), 2)
+    (worker,) = multiprocessing.active_children()
+    del engine
+    gc.collect()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker.pid, 0)
+
+
+def test_worker_collecting_a_copied_engine_leaves_its_workers_alone(two_processes, monkeypatch, capfd):
+    # a worker's memory holds a copy of every engine the parent had at the fork;
+    # collecting one there must not try to close workers that are not its own
+    parent = os.getpid()
+    loss = objectives.loss
+
+    def collecting_in_worker(out, shard, batch):
+        if os.getpid() != parent:
+            gc.collect()
+        return loss(out, shard, batch)
+
+    # report a failing finalizer on stderr, where the worker's output goes
+    monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+    gc.disable()
+    try:
+        _, _, older = model_and_engine()
+        older.data_parallel_step(lm_batches()(0), 2)
+        older.cycle = older  # garbage only the cyclic collector frees
+        del older
+        monkeypatch.setattr(objectives, "loss", collecting_in_worker)
+        _, _, engine = model_and_engine()
+        engine.data_parallel_step(lm_batches()(0), 2)
+        del engine
+    finally:
+        gc.enable()
+    gc.collect()
+    assert multiprocessing.active_children() == []
+    assert "Exception ignored" not in capfd.readouterr().err
+
+
+def test_bad_shard_count_starts_no_process(two_processes):
+    assert shard_processes(3) == 2
+    _, _, engine = model_and_engine()
+    with pytest.raises(DataError):
+        engine.data_parallel_step(lm_batches()(0), 3)  # batch of 4
+    assert multiprocessing.active_children() == []
+
+
+CHILD = """
+import multiprocessing, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.path.insert(0, sys.argv[1])
+from test_engine import lm_batches, model_and_engine
+_, _, engine = model_and_engine()
+batch = lm_batches()(0)
+engine.data_parallel_step(batch, 2)
+(worker,) = multiprocessing.active_children()
+print(worker.pid, flush=True)
+while True:
+    engine.data_parallel_step(batch, 2)
+"""
+
+
+def gone(pid):
+    """No such process, or one that exited and waits for its new parent to reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except OSError:
+        return True
+
+
+def test_killed_parent_leaves_no_worker():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent)], env=env, stdout=subprocess.PIPE, text=True
+    )
+    worker = None
+    try:
+        worker = int(child.stdout.readline())
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while not gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert gone(worker)
+    finally:
+        child.kill()
+        child.wait(timeout=10)
+        child.stdout.close()
+        if worker is not None and not gone(worker):
+            os.kill(worker, signal.SIGKILL)

@@ -7,9 +7,11 @@ benchmark; these tests catch both.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stacklm.engine as engine_mod
 import stacklm.evaluation as evaluation_mod
@@ -66,7 +68,9 @@ def run_all():
     return {family: pretrain_losses(family) for family in FAMILIES}, finetune_losses()
 
 
-def test_traced_run_records_every_layer_and_matches_untraced():
+def test_traced_run_records_every_layer_and_matches_untraced(monkeypatch):
+    # one usable core: every shard runs in this process, where the tracer sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     untraced = run_all()
     # the tracer patches functions only; module state such as counters may move
     before = {owner: {k: v for k, v in vars(owner).items() if callable(v)} for owner in PATCHED_OWNERS}
@@ -104,3 +108,19 @@ def test_traced_run_records_every_layer_and_matches_untraced():
         assert now.keys() == attrs.keys(), owner
         for name, value in attrs.items():
             assert now[name] is value, (owner, name)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="shard workers run on Linux only")
+def test_traced_run_with_shard_workers_traces_the_parents_block(monkeypatch):
+    """With two processes a worker runs the second shard, and its spans never reach the tracer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    untraced = run_all()
+    tracer = load_tracer_class()(np.float32)
+    tracer.install()
+    try:
+        traced = run_all()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.forward_passes_per_step() == [1, 1, 1, 1, 1]
