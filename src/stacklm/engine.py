@@ -14,9 +14,8 @@ one body, ``data_parallel_step`` (alias ``train_step``): ``objectives.loss``
 normalizes every one of ``n_shards`` shard losses (default one) over the
 full batch, and shard gradients are summed in fixed shard-index order.  One
 shard is exactly the full-batch step; more shards equal it up to
-floating-point rounding.  A parameter the loss never reached
-(a fine-tuned encoder's pretraining heads) has no gradient and is neither
-clipped nor updated.
+floating-point rounding.  Every parameter gets a gradient: a model with a
+parameter that the loss does not reach is rejected.
 
 Shards run on the machine's cores.  A step with more than one shard uses
 ``shard_processes(n_shards)`` processes: as many as the usable cores hold
@@ -45,7 +44,8 @@ import math
 import os
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from itertools import chain
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -130,8 +130,8 @@ def shard_processes(n_shards: int) -> int:
 
 
 def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, step: int, scale: float,
-                shard: PackedSequenceBatch, batch: PackedSequenceBatch) -> float:
-    """Forward and backward of one shard: leaves ``scale`` times its gradients in ``params``, returns its loss."""
+                shard: PackedSequenceBatch, batch: PackedSequenceBatch) -> tuple[float, dict[str, np.ndarray]]:
+    """Forward and backward of one shard: its loss and ``scale`` times the gradient of every parameter."""
     params.zero_grads()
     rng = DropoutRng(cfg.seed, step, shard.example_ids)
     with Tape() as tape:
@@ -144,16 +144,10 @@ def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, 
         loss = objectives.loss(out, shard, batch)
         del out  # leave the outputs to the tape, which frees them as backward consumes it
     tape.backward(loss, seed_grad=scale)
-    return float(loss.data)
-
-
-def _accumulate(combined: dict[str, np.ndarray], grads: Iterable[tuple[str, np.ndarray]], shared: bool) -> None:
-    """Add ``grads`` into ``combined`` in place; a ``shared`` array is a worker's slot, rewritten next step."""
-    for name, g in grads:
-        if name in combined:
-            combined[name] += g
-        else:
-            combined[name] = g.copy() if shared else g
+    missing = [name for name, t in params.items() if t.grad is None]
+    if missing:
+        raise ConfigError(f"the loss does not reach parameters {', '.join(missing)}")
+    return float(loss.data), {name: t.grad for name, t in params.items()}
 
 
 def _layout(params: ModelParams) -> tuple:
@@ -185,18 +179,14 @@ def _worker_main(conn, params: ModelParams, shards: range, n_shards: int,
         except EOFError:
             return
         try:
-            results = []
+            losses = []
             for index, slot in zip(shards, slots):
-                loss = _shard_pass(params, model_cfg, cfg, step, scale, batch.shard(index, n_shards), batch)
-                missing = []
-                for name, t in params.items():
-                    if t.grad is None:
-                        missing.append(name)
-                    else:
-                        np.copyto(slot[name], t.grad, casting="no")
-                results.append((loss, missing))
+                loss, grads = _shard_pass(params, model_cfg, cfg, step, scale, batch.shard(index, n_shards), batch)
+                for name, g in grads.items():
+                    np.copyto(slot[name], g, casting="no")
+                losses.append(loss)
             params.zero_grads()
-            reply = (None, results)
+            reply = (None, losses)
         except Exception as exc:
             reply = (type(exc), str(exc))
         try:
@@ -257,7 +247,7 @@ class _ShardWorkers:
             except OSError:
                 raise RuntimeError(f"shard worker {proc.pid} exited between steps") from None
 
-    def gather(self) -> Iterator[tuple[float, Iterator[tuple[str, np.ndarray]]]]:
+    def gather(self) -> Iterator[tuple[float, dict[str, np.ndarray]]]:
         """Each worker shard's loss and gradient views, in shard-index order; a worker's error is raised here."""
         for conn, proc, slots in zip(self.conns, self.procs, self.slots):
             try:
@@ -266,8 +256,8 @@ class _ShardWorkers:
                 raise RuntimeError(f"shard worker {proc.pid} exited during a step") from None
             if error is not None:
                 raise error(payload)
-            for slot, (loss, missing) in zip(slots, payload):
-                yield loss, ((name, g) for name, g in slot.items() if name not in missing)
+            for slot, loss in zip(slots, payload):
+                yield loss, slot
 
     def close(self) -> None:
         if os.getpid() != self.owner:  # a forked copy of another engine's workers, collected in a worker
@@ -346,19 +336,17 @@ class TrainEngine:
         # n_shards < 1; cutting it first rejects a bad count before any fork
         own = [batch.shard(index, n_shards) for index in range(max(n_shards, 1) // n_procs)]
         workers = self._shard_workers(n_shards, n_procs) if n_procs > 1 else None
-        combined: dict[str, np.ndarray] = {}
-        loss_total = 0.0
         scale = self.scaler.scale
+        passes = (_shard_pass(self.params, self.model_cfg, self.cfg, self.step, scale, shard, batch) for shard in own)
         try:
             if workers is not None:
                 workers.start_step(self.params, batch, self.model_cfg, self.cfg, self.step, scale)
-            for shard in own:
-                loss_total += _shard_pass(self.params, self.model_cfg, self.cfg, self.step, scale, shard, batch)
-                _accumulate(combined, ((name, t.grad) for name, t in self.params.items() if t.grad is not None), False)
-            if workers is not None:
-                for loss, grads in workers.gather():
-                    loss_total += loss
-                    _accumulate(combined, grads, True)
+                passes = chain(passes, workers.gather())
+            loss_total, combined = next(passes)
+            for loss, grads in passes:
+                loss_total += loss
+                for name, g in combined.items():
+                    g += grads[name]
         except BaseException:
             self._close_workers()
             raise

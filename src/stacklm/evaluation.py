@@ -25,7 +25,7 @@ import numpy as np
 from .bpe import TokenizerVocab, encode
 from .data import PackedSequenceBatch
 from .engine import EngineConfig, StepMetrics, TrainEngine, train_loop
-from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, classifier_head, forward
+from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, forward, parameter_inventory
 from .optim import TrainSchedule
 from .tensor import Tensor
 
@@ -216,11 +216,11 @@ def finetune(
     head: str,
     settings: FinetuneSettings = FinetuneSettings(),
 ) -> FinetunedModel:
-    """Append a zero-initialized classification head and train the stack.
+    """Replace the pretraining heads with a zero classifier head and train.
 
-    The head replaces the pretraining heads as the model's output: the
-    masked-token and segment-order heads are neither run nor updated, and
-    the returned parameters carry them exactly as given.
+    The returned parameters are ``parameter_inventory(cfg, n_classes)``:
+    the given body, trained in place, plus a fresh ``cls.*`` of the
+    dataset's label count, also where the given parameters carried one.
 
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
     stops requiring ``text_b`` on every example.
@@ -230,10 +230,11 @@ def finetune(
     """
     _check_finetune_inputs(cfg, vocab, dataset, head)
     dtype = params["tok_emb"].dtype
-    tensors = dict(params.tensors)
-    for name, shape in classifier_head(cfg, len(dataset.label_vocab)).items():
-        tensors[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
-    full = ModelParams(tensors)
+    full = ModelParams({
+        name: (Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
+               if name.startswith("cls.") else params[name])
+        for name, shape, _ in parameter_inventory(cfg, len(dataset.label_vocab))
+    })
 
     n = len(dataset)
     b = settings.batch_size

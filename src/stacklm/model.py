@@ -11,15 +11,15 @@ embedding, blocks and a final layer norm.  ``forward`` has one body and one
 output head, the transposed token embedding: the input embedding is always
 the output layer, so there is no separate ``lm_head``.  The encoder-only
 family adds its masked-token transform before that head and the pooler and
-segment-order head beside it.  A fine-tuned encoder (one whose parameters
-carry ``classifier_head``) has the classifier over the pooled output as its
-only head: the pretraining heads do not run.
+segment-order head beside it.  A fine-tuned encoder is the body (every
+parameter but the pretraining heads ``mlm.*``/``sop.*``) plus the
+classifier ``cls.*`` over the pooled output, its only head.
 
 ``parameter_inventory`` is the single source of truth for parameter names
-and shapes; ``build_model`` instantiates exactly that inventory and
+and shapes, of a pretraining model and of a fine-tuned one alike;
+``build_model`` instantiates exactly the pretraining inventory and
 ``count_params`` sums it, so the analytic count always equals the
-instantiated element count.  ``classifier_head`` names and shapes the
-fine-tune head, and a checkpoint loads exactly these names.
+instantiated element count.  A checkpoint loads exactly one inventory.
 
 Initialization: weights are drawn from Normal(0, 0.02); the projections
 feeding a residual connection (attention output, second MLP matrix,
@@ -135,8 +135,13 @@ def _block_inventory(prefix: str, cfg: ModelConfig, cross: bool):
     return inv
 
 
-def parameter_inventory(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """Every named parameter with its shape and init kind, in build order."""
+def parameter_inventory(cfg: ModelConfig, n_classes: Optional[int] = None) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every named parameter with its shape and init kind, in build order.
+
+    With ``n_classes``, the fine-tuned encoder's: the pretraining heads
+    ``mlm.*``/``sop.*`` give way to a zero classifier ``cls.*`` over the
+    pooled output.
+    """
     d, v = cfg.d_layer, cfg.vocab_size
     inv = [("tok_emb", (v, d), "normal"), ("pos_emb", (cfg.max_seq_len, d), "normal")]
     if cfg.family == "encoder-only":
@@ -169,12 +174,10 @@ def parameter_inventory(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], st
             ("sop.w", (d, 2), "normal"),
             ("sop.b", (2,), "zeros"),
         ]
+    if n_classes is not None:
+        inv = [entry for entry in inv if not entry[0].startswith(("mlm.", "sop."))]
+        inv += [("cls.w", (d, n_classes), "zeros"), ("cls.b", (n_classes,), "zeros")]
     return inv
-
-
-def classifier_head(cfg: ModelConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
-    """Names and shapes of the fine-tune classifier over an encoder's pooled output."""
-    return {"cls.w": (cfg.d_layer, n_classes), "cls.b": (n_classes,)}
 
 
 def count_params(cfg: ModelConfig) -> int:
@@ -342,11 +345,9 @@ def forward(
     encoder-decoder family encodes a source.  ``mode`` is ``train``
     (dropout active, requires ``rng`` when dropout_p > 0) or ``eval``.
 
-    ``logits`` are over the vocabulary, except when ``params`` carry the
-    classifier head (``cls.w``): then they are the (batch, n_classes)
-    classifier logits over ``pooled``, ``sop_logits`` is None, and the
-    masked-token transform, vocabulary projection and segment-order head
-    do not run.
+    ``logits`` are over the vocabulary, except for a fine-tuned encoder
+    (``params`` carry ``cls.w``): then they are the (batch, n_classes)
+    classifier logits over ``pooled``, and ``sop_logits`` is None.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -496,8 +497,9 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
     """Parameters, config and ``extra``; each requested slot is added to
     ``extra`` as a name -> array dict, shape-checked against the parameters.
 
-    The parameters are exactly the config's inventory, plus the
-    ``classifier_head`` of an encoder whose checkpoint carries ``cls.w``.
+    The parameters are exactly the config's inventory: the fine-tuned one,
+    with as many classes as ``cls.w`` has columns, for an encoder whose
+    checkpoint carries ``cls.w``.
     """
     try:
         archive = np.load(path)
@@ -513,10 +515,10 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
         if not isinstance(meta.get("extra"), dict):
             raise ConfigError(f"{path}: checkpoint meta has no 'extra' object")
         cfg = config_from_text(meta["config"], source=path)
-        expected = {name: shape for name, shape, _ in parameter_inventory(cfg)}
+        n_classes = None
         if cfg.family == "encoder-only" and "param:cls.w" in archive.files:
-            cls_shape = archive["param:cls.w"].shape
-            expected.update(classifier_head(cfg, cls_shape[-1] if cls_shape else 0))
+            n_classes = (archive["param:cls.w"].shape or (0,))[-1]
+        expected = {name: shape for name, shape, _ in parameter_inventory(cfg, n_classes)}
         arrays = _read_slot(archive, "param", expected)
         shapes = {name: arr.shape for name, arr in arrays.items()}
         extra = dict(meta["extra"], **{slot: _read_slot(archive, slot, shapes) for slot in slots})

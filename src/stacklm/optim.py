@@ -114,11 +114,7 @@ class OptimizerState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update with decoupled weight decay.
-
-    Only the parameters ``grads`` names are updated; the others, and their
-    moments, are left as they are.
-    """
+    """One bias-corrected Adam update with decoupled weight decay."""
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step

@@ -237,6 +237,17 @@ def test_pretraining_reaches_every_parameter(family):
     assert list(grads) == params.names()
 
 
+def test_parameter_without_gradient_is_rejected():
+    # no decoder block reads a depth-0 encoder's output, so its final norm gets no gradient
+    _, params, engine = model_and_engine(family="encoder-decoder", n_layers=0)
+    before = {name: t.data.copy() for name, t in params.items()}
+    with pytest.raises(ConfigError, match=r"does not reach parameters enc_final\.gain, enc_final\.bias$"):
+        engine.data_parallel_step(family_batches("encoder-decoder")(0))
+    assert engine.step == 0
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 SHADOW_STEPS = 10
 # The standard for changes that move float32 bits; never widen it.  On the
 # code it was set against, the largest deviation over seeds 0-5 and the three

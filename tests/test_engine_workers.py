@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from stacklm import objectives
+from stacklm import tensor as T
 from stacklm.data import DataError
 from stacklm.engine import shard_processes, train_loop
+from stacklm.model import ConfigError
 from test_engine import family_batches, lm_batches, model_and_engine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,6 +89,23 @@ def test_worker_error_reaches_parent_and_closes_workers(two_processes, monkeypat
     monkeypatch.setattr(objectives, "loss", loss)
     engine.data_parallel_step(batch, 2)
     assert engine.step == 1
+
+    # no decoder block reads a depth-0 encoder's output, so its final norm gets no gradient;
+    # the parent's loss reads it at weight 0, so the error can only come from the worker
+    _, params, engine = model_and_engine(family="encoder-decoder", n_layers=0)
+    unused = [params["enc_final.gain"], params["enc_final.bias"]]
+
+    def reaching_all_in_parent(out, shard, batch):
+        value = loss(out, shard, batch)
+        if os.getpid() == parent:
+            value = T.add(value, T.scale(T.add(*(T.sum_all(t) for t in unused)), 0.0))
+        return value
+
+    monkeypatch.setattr(objectives, "loss", reaching_all_in_parent)
+    with pytest.raises(ConfigError, match=r"does not reach parameters enc_final\.gain, enc_final\.bias$"):
+        engine.data_parallel_step(family_batches("encoder-decoder")(0), 2)
+    assert multiprocessing.active_children() == []
+    assert engine.step == 0
 
 
 def test_no_worker_outlives_its_engine(two_processes):

@@ -24,7 +24,9 @@ from stacklm.evaluation import (
     render_sweep_csv,
     synthetic_task_vocab,
 )
-from stacklm.model import ConfigError, InputError, ModelConfig, build_model
+from stacklm.model import (
+    ConfigError, InputError, ModelConfig, build_model, load_checkpoint, parameter_inventory, save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +160,7 @@ def test_finetune_rejects_wrong_family(vocab):
         finetune(params, cfg, vocab, ds, "pair-classifier", FinetuneSettings(max_steps=1))
 
 
-def test_finetune_leaves_pretraining_heads_and_their_moments_untouched(vocab, monkeypatch):
+def test_finetune_holds_exactly_the_body_and_classifier(vocab, monkeypatch):
     engines = []
 
     class RecordingEngine(TrainEngine):
@@ -170,16 +172,13 @@ def test_finetune_leaves_pretraining_heads_and_their_moments_untouched(vocab, mo
     cfg = encoder_cfg(vocab, dropout=0.1)
     params = build_model(cfg, seed=3)
     before = {name: t.data.copy() for name, t in params.items()}
-    # the zero head passes no gradient to the body on step 1, and the linear schedule
-    # reaches lr 0 on the last step, so step 2 is the first to update the body
+    # the zero head passes a zero gradient to the body on step 1; the later steps train it
     model = finetune(params, cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
                      FinetuneSettings(learning_rate=1e-3, max_steps=3, batch_size=4))
     (engine,) = engines
-    heads = [name for name in before if name.startswith(("mlm.", "sop."))]
-    assert len(heads) == 7
-    for name in heads:
-        assert np.array_equal(model.params[name].data, before[name]), name
-        assert not engine.optimizer.m[name].any() and not engine.optimizer.v[name].any(), name
+    names = [name for name, _, _ in parameter_inventory(cfg, 2)]
+    assert model.params.names() == list(engine.optimizer.m) == list(engine.optimizer.v) == names
+    assert not [name for name in names if name.startswith(("mlm.", "sop."))]
     for name in ("pooler.w", "block0.mlp.w_fc", "tok_emb"):
         assert not np.array_equal(model.params[name].data, before[name]), name
     assert model.params["cls.w"].data.any()
@@ -254,6 +253,25 @@ def test_finetune_last_step_still_learns(vocab):
                      FinetuneSettings(learning_rate=1e-3, max_steps=1, batch_size=4))
     assert model.history[-1].lr > 0.0
     assert np.any(model.params["cls.w"].data != 0.0)
+
+
+def test_finetuned_checkpoint_fine_tunes_again_with_a_fresh_head(vocab, tmp_path):
+    cfg = encoder_cfg(vocab, n_layers=1)
+    settings = FinetuneSettings(learning_rate=1e-3, max_steps=2, batch_size=4)
+    two = make_synthetic_pair_task(8, seed=0)
+    first = finetune(build_model(cfg, seed=0), cfg, vocab, two, "pair-classifier", settings)
+    path = str(tmp_path / "finetuned.npz")
+    save_checkpoint(path, first.params, cfg)
+    params, loaded_cfg, _ = load_checkpoint(path)
+    assert params.names() == first.params.names()
+    examples = [LabeledExample(t, None, l) for t, l in [("amber breeze", "x"), ("cedar dusk", "y"), ("gale", "z")]]
+    three = ClassificationDataset(examples, "train", ["x", "y", "z"])
+    again = finetune(params, loaded_cfg, vocab, three, "single-classifier", settings)
+    assert again.params["cls.w"].shape == (cfg.d_layer, 3)
+    assert again.params.names() == [name for name, _, _ in parameter_inventory(cfg, 3)]
+    # a head the checkpoint carries gives way to a fresh one even at the same label count
+    untrained = finetune(params, loaded_cfg, vocab, two, "pair-classifier", FinetuneSettings(max_steps=0))
+    assert not untrained.params["cls.w"].data.any()
 
 
 def test_evaluate_rejects_empty_split(vocab):

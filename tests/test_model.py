@@ -18,7 +18,6 @@ from stacklm.model import (
     ModelConfig,
     ModelParams,
     build_model,
-    classifier_head,
     config_from_text,
     config_to_text,
     count_params,
@@ -184,13 +183,13 @@ def test_encoder_only_outputs_auxiliary_heads():
 
 
 def with_classifier(params, cfg, n_classes, seed=1):
-    """``params`` plus a random ``classifier_head`` of ``n_classes``."""
+    """The fine-tuned inventory of ``n_classes``: the body of ``params`` plus a random ``cls.*``."""
     rng = np.random.default_rng(seed)
-    head = {
+    return ModelParams({
         name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True, name=name)
-        for name, shape in classifier_head(cfg, n_classes).items()
-    }
-    return ModelParams({**params.tensors, **head})
+        if name.startswith("cls.") else params[name]
+        for name, shape, _ in parameter_inventory(cfg, n_classes)
+    })
 
 
 def test_classifier_head_is_the_only_output_head():
@@ -471,6 +470,9 @@ def test_checkpoint_loads_exactly_the_expected_parameters(tmp_path):
         ({**arrays, "param:cls.b": arrays["param:cls.b"][:-1]}, "cls.b"),
         ({key: a for key, a in arrays.items() if key != "param:cls.w"}, "cls.b"),
         ({**arrays, "param:stray": np.zeros(3)}, "stray"),
+        # the fine-tuned format that kept the pretraining heads
+        ({**arrays, "param:mlm.bias": np.zeros(cfg.vocab_size, np.float32)}, "mlm.bias"),
+        ({key: a for key, a in arrays.items() if key != "param:pooler.w"}, "pooler.w"),
     )
     bad = tmp_path / "bad.npz"
     for edited, name in edits:
