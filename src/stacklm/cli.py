@@ -161,13 +161,12 @@ def _apply_toy_profile(cfg: ModelConfig) -> ModelConfig:
     )
 
 
-def _resolve_vocab(args, run: RunDirectory, corpus_docs: list[str], target: int) -> bpe.TokenizerVocab:
+def _resolve_vocab(args, run: RunDirectory, corpus_docs: list[str], target: int) -> tuple[bpe.TokenizerVocab, bool]:
+    """The given vocabulary, or one trained on the corpus; and whether it was trained (the run then saves it)."""
     if getattr(args, "vocab", None):
         run.record_input("vocab", args.vocab)
-        return bpe.load_vocab(args.vocab)
-    vocab = bpe.train_bpe(corpus_docs, target)
-    bpe.save_vocab(vocab, run.file("vocab.txt"))
-    return vocab
+        return bpe.load_vocab(args.vocab), False
+    return bpe.train_bpe(corpus_docs, target), True
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ def cmd_pretrain(args) -> int:
         cfg = _apply_toy_profile(cfg)
     docs = datap.read_documents(args.corpus)
     target = TOY_PROFILE["vocab_target"] if args.toy else cfg.vocab_size
-    vocab = _resolve_vocab(args, run, docs, target)
+    vocab, trained = _resolve_vocab(args, run, docs, target)
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
 
     run.options.update(batch_size=batch_size, resolved_model_config=dataclasses.asdict(cfg))
@@ -237,8 +236,14 @@ def cmd_pretrain(args) -> int:
     )
     params = build_model(cfg, seed=args.seed)
     engine = TrainEngine(params, cfg, engine_cfg)
+    # the first step rejects a model that no run can train, such as one whose
+    # loss misses a parameter, before the run directory exists
+    history = train_loop(engine, batch_fn, 1, n_shards=args.shards)
+    if trained:
+        bpe.save_vocab(vocab, run.file("vocab.txt"))
     with open(run.file("metrics.jsonl"), "w", encoding="utf-8") as stream:
-        history = train_loop(engine, batch_fn, args.steps, metrics_stream=stream, n_shards=args.shards)
+        write_metrics(stream, history[0])
+        history += train_loop(engine, batch_fn, args.steps - 1, metrics_stream=stream, n_shards=args.shards)
     save_checkpoint(run.file("model.npz"), params, cfg, extra={"steps": args.steps, "seed": args.seed})
     save_engine_checkpoint(run.file("engine.npz"), engine)
     first, last = history[0].loss, history[-1].loss

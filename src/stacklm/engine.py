@@ -17,19 +17,28 @@ shard is exactly the full-batch step; more shards equal it up to
 floating-point rounding.  Every parameter gets a gradient: a model with a
 parameter that the loss does not reach is rejected.
 
+Parameters, gradients and Adam moments lie in the arena: the flat
+parameter buffer of ``ModelParams`` and, laid out the same way, the
+gradient and moment buffers of ``OptimizerState``.  The first shard's
+backward writes each parameter's gradient straight into the arena, and
+each later shard's lands in a buffer laid out like it and is added with
+one flat add.  The update then runs over the arena's two weight-decay
+segments: clip sums the squares in arena order (decayed tensors first), a
+chunk at a time, and Adam updates in place.
+
 Shards run on the machine's cores.  A step with more than one shard uses
 ``shard_processes(n_shards)`` processes: as many as the usable cores hold
 at the configured BLAS threads per process, and never more than there are
 shards.  The parent runs the first contiguous block of shards and forked
-workers run the others, each its own block.  The parent copies its
-parameters into one shared anonymous mapping before each step, and every
-worker writes each of its shards' gradients into its own shared slot.  The
-parent then adds them to its own sum in shard-index order, so every float
-operation runs in the order of the one-process loop and the result is
-bit-identical to it.  The workers are forked at an engine's first
-multi-process step and close with the engine.  A worker sees module state
-as it was when it was forked: a function patched into ``stacklm`` later
-does not reach it.
+workers run the others, each its own block.  The parameter buffer is a
+shared mapping, so the workers read the parameters the parent updates and
+no step copies them.  Every worker writes each of its shards' gradients into its
+own shared slot, laid out like the arena, and the parent adds the slots to
+its own sum in shard-index order.  Every float operation therefore runs in
+the order of the one-process loop and the result is bit-identical to it.
+The workers are forked at an engine's first multi-process step and close
+with the engine.  A worker sees module state as it was when it was forked:
+a function patched into ``stacklm`` later does not reach it.
 
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
@@ -44,14 +53,13 @@ import math
 import os
 import weakref
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from . import objectives
 from .data import PackedSequenceBatch
-from .model import ConfigError, ModelConfig, ModelParams, forward, load_checkpoint, save_checkpoint
+from .model import ConfigError, ModelConfig, ModelParams, forward, load_checkpoint, mapped_zeros, save_checkpoint
 from .optim import (
     LossScaler,
     OptimizerState,
@@ -64,7 +72,6 @@ from .optim import (
 from .tensor import DropoutRng, Tape
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_SLOT_ALIGN = 64  # bytes; every parameter and gradient view in a shared mapping starts on a cache line
 _JOIN_TIMEOUT_S = 5.0
 
 # The parent's end of every open worker pipe.  A fork copies all of them, and
@@ -130,63 +137,46 @@ def shard_processes(n_shards: int) -> int:
 
 
 def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, step: int, scale: float,
-                shard: PackedSequenceBatch, batch: PackedSequenceBatch) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward and backward of one shard: its loss and ``scale`` times the gradient of every parameter."""
-    params.zero_grads()
-    rng = DropoutRng(cfg.seed, step, shard.example_ids)
-    with Tape() as tape:
-        out = forward(
-            params, model_cfg, shard.ids, mode="train", rng=rng,
-            recompute=cfg.recompute_activations,
-            type_ids=shard.type_ids, attention_mask=shard.attention_mask,
-            source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
-        )
-        loss = objectives.loss(out, shard, batch)
-        del out  # leave the outputs to the tape, which frees them as backward consumes it
-    tape.backward(loss, seed_grad=scale)
-    missing = [name for name, t in params.items() if t.grad is None]
+                shard: PackedSequenceBatch, batch: PackedSequenceBatch, grads: dict[str, np.ndarray]) -> float:
+    """Forward and backward of one shard: its loss; ``scale`` times each gradient is written into ``grads``."""
+    params.route_grads(grads)
+    try:
+        rng = DropoutRng(cfg.seed, step, shard.example_ids)
+        with Tape() as tape:
+            out = forward(
+                params, model_cfg, shard.ids, mode="train", rng=rng,
+                recompute=cfg.recompute_activations,
+                type_ids=shard.type_ids, attention_mask=shard.attention_mask,
+                source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
+            )
+            loss = objectives.loss(out, shard, batch)
+            del out  # leave the outputs to the tape, which frees them as backward consumes it
+        tape.backward(loss, seed_grad=scale)
+        missing = [name for name, t in params.items() if t.grad is None]
+    finally:
+        params.zero_grads()  # a later backward outside a step writes fresh arrays, not into ``grads``
     if missing:
         raise ConfigError(f"the loss does not reach parameters {', '.join(missing)}")
-    return float(loss.data), {name: t.grad for name, t in params.items()}
+    return float(loss.data)
 
 
-def _layout(params: ModelParams) -> tuple:
-    return tuple((name, t.data.shape, t.data.dtype.str) for name, t in params.items())
-
-
-def _packing(layout: tuple) -> tuple[list[int], int]:
-    """Byte offset of each ``layout`` entry, packed at cache-line boundaries, and the bytes they span."""
-    offsets, end = [], 0
-    for _, shape, dtype in layout:
-        offsets.append(end)
-        end += -(-int(np.prod(shape)) * np.dtype(dtype).itemsize // _SLOT_ALIGN) * _SLOT_ALIGN
-    return offsets, end
-
-
-def _worker_main(conn, params: ModelParams, shards: range, n_shards: int,
-                 param_views: dict[str, np.ndarray], slots: list[dict[str, np.ndarray]]) -> None:
+def _worker_main(conn, params: ModelParams, shards: range, n_shards: int, slots: list[dict[str, np.ndarray]]) -> None:
     """A forked shard worker: one request per step, until end-of-file on ``conn``."""
     import signal
 
     for end in _PARENT_ENDS:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    for name, t in params.items():
-        t.data = param_views[name]
     while True:
         try:
             batch, model_cfg, cfg, step, scale = conn.recv()
         except EOFError:
             return
         try:
-            losses = []
-            for index, slot in zip(shards, slots):
-                loss, grads = _shard_pass(params, model_cfg, cfg, step, scale, batch.shard(index, n_shards), batch)
-                for name, g in grads.items():
-                    np.copyto(slot[name], g, casting="no")
-                losses.append(loss)
-            params.zero_grads()
-            reply = (None, losses)
+            reply = (None, [
+                _shard_pass(params, model_cfg, cfg, step, scale, batch.shard(index, n_shards), batch, slot)
+                for index, slot in zip(shards, slots)
+            ])
         except Exception as exc:
             reply = (type(exc), str(exc))
         try:
@@ -199,33 +189,24 @@ class _ShardWorkers:
     """The forked workers of one engine: worker ``r`` runs the ``r``-th block of shards after the parent's."""
 
     def __init__(self, params: ModelParams, n_shards: int, n_procs: int):
-        import mmap
         import multiprocessing  # about 13 ms; only a multi-process step pays it
 
         context = multiprocessing.get_context("fork")
         self.owner = os.getpid()
-        layout = _layout(params)
-        self.key = (n_shards, n_procs, layout)
-        offsets, nbytes = _packing(layout)
-
-        def views(buffer, base: int = 0) -> dict[str, np.ndarray]:
-            return {name: np.ndarray(shape, dtype, buffer=buffer, offset=base + offset)
-                    for (name, shape, dtype), offset in zip(layout, offsets)}
-
-        self.param_views = views(mmap.mmap(-1, nbytes))
+        self.key = (n_shards, n_procs)
         self.conns: list = []
         self.procs: list = []
-        self.slots: list[list[dict[str, np.ndarray]]] = []
+        self.slots: list[np.ndarray] = []
         try:
             for r in range(1, n_procs):
                 shards = range(r * n_shards // n_procs, (r + 1) * n_shards // n_procs)
-                grads = mmap.mmap(-1, nbytes * len(shards))
-                slots = [views(grads, i * nbytes) for i in range(len(shards))]
+                slots = mapped_zeros((len(shards), params.flat.size), params.flat.dtype)
                 conn, child_end = context.Pipe()
                 _PARENT_ENDS.add(conn)
                 self.conns.append(conn)
                 proc = context.Process(
-                    target=_worker_main, args=(child_end, params, shards, n_shards, self.param_views, slots),
+                    target=_worker_main,
+                    args=(child_end, params, shards, n_shards, [params.views(slot) for slot in slots]),
                     daemon=True,
                 )
                 proc.start()
@@ -236,10 +217,8 @@ class _ShardWorkers:
             self.close()
             raise
 
-    def start_step(self, params: ModelParams, batch: PackedSequenceBatch, model_cfg: ModelConfig,
-                   cfg: EngineConfig, step: int, scale: float) -> None:
-        for name, t in params.items():
-            np.copyto(self.param_views[name], t.data)
+    def start_step(self, batch: PackedSequenceBatch, model_cfg: ModelConfig, cfg: EngineConfig, step: int,
+                   scale: float) -> None:
         request = (batch, model_cfg, cfg, step, scale)
         for conn, proc in zip(self.conns, self.procs):
             try:
@@ -247,8 +226,8 @@ class _ShardWorkers:
             except OSError:
                 raise RuntimeError(f"shard worker {proc.pid} exited between steps") from None
 
-    def gather(self) -> Iterator[tuple[float, dict[str, np.ndarray]]]:
-        """Each worker shard's loss and gradient views, in shard-index order; a worker's error is raised here."""
+    def gather(self) -> Iterator[tuple[float, np.ndarray]]:
+        """Each worker shard's loss and flat gradient slot, in shard-index order; a worker's error is raised here."""
         for conn, proc, slots in zip(self.conns, self.procs, self.slots):
             try:
                 error, payload = conn.recv()
@@ -256,8 +235,7 @@ class _ShardWorkers:
                 raise RuntimeError(f"shard worker {proc.pid} exited during a step") from None
             if error is not None:
                 raise error(payload)
-            for slot, loss in zip(slots, payload):
-                yield loss, slot
+            yield from zip(payload, slots)
 
     def close(self) -> None:
         if os.getpid() != self.owner:  # a forked copy of another engine's workers, collected in a worker
@@ -280,6 +258,7 @@ class TrainEngine:
         self.model_cfg = model_cfg
         self.cfg = engine_cfg
         self.optimizer = OptimizerState(params)
+        self._grad_segments = {segment: self.optimizer.grad_flat[span] for segment, span in params.segments.items()}
         # loss scaling off is a scale of 1 that never moves; float32 needs no more
         self.scaler = (
             LossScaler() if engine_cfg.use_loss_scaler else LossScaler(1.0, growth_factor=1.0, backoff_factor=1.0)
@@ -289,13 +268,18 @@ class TrainEngine:
         self._workers_finalizer: Optional[weakref.finalize] = None
 
     def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
-        """One decision from the global norm of ``grads``, which carry the loss scale."""
-        grads, norm = clip_global_norm(grads, loss_scale=self.scaler.scale)
+        """One decision from the global norm of ``grads``, one per parameter, which carry the loss scale.
+
+        The gradients are the arena's, or are copied into it; clip then
+        runs over the arena's two segments and Adam over the whole arena.
+        """
+        self.optimizer.load_grads(grads)
+        _, norm = clip_global_norm(self._grad_segments, loss_scale=self.scaler.scale)
         skipped = not math.isfinite(norm)
         loss_scaler_step(self.scaler, not skipped)
         lr = lr_at(self.cfg.schedule, self.step + 1)
         if not skipped:
-            adam_step(self.params, grads, self.optimizer, lr)
+            adam_step(self.params, self.optimizer.grads, self.optimizer, lr)
         metrics = StepMetrics(
             step=self.step,
             loss=loss_value,
@@ -310,8 +294,8 @@ class TrainEngine:
     # -- public steps --------------------------------------------------------
 
     def _shard_workers(self, n_shards: int, n_procs: int) -> _ShardWorkers:
-        """This engine's workers for the step's shard split, forked anew when it or the parameter layout changed."""
-        key = (n_shards, n_procs, _layout(self.params))
+        """This engine's workers for the step's shard split, forked anew when it changed."""
+        key = (n_shards, n_procs)
         if self._workers is None or self._workers.key != key:
             self._close_workers()
             self._workers = _ShardWorkers(self.params, n_shards, n_procs)
@@ -323,45 +307,52 @@ class TrainEngine:
             self._workers_finalizer()
             self._workers = None
 
-    def _scaled_gradients(self, batch: PackedSequenceBatch, n_shards: int) -> tuple[dict[str, np.ndarray], float]:
-        """Forward/backward only: (loss-scale times gradients, unscaled loss).
+    def _scaled_gradients(self, batch: PackedSequenceBatch, n_shards: int) -> float:
+        """Forward/backward only: leaves loss-scale times the gradients in the arena; returns the unscaled loss.
 
-        Every shard loss is normalized over the full batch and shard
-        gradients are summed, in place into the first shard's arrays, in
-        fixed shard-index order: this process's block of shards first, then
-        each worker's, while the workers compute theirs alongside.
+        Every shard loss is normalized over the full batch, and shard
+        gradients are summed into the first shard's in fixed shard-index
+        order: this process's block of shards first, then each worker's,
+        while the workers compute theirs alongside.
         """
         n_procs = shard_processes(n_shards)
         # the parent's block, at least one shard so that ``shard`` rejects
         # n_shards < 1; cutting it first rejects a bad count before any fork
         own = [batch.shard(index, n_shards) for index in range(max(n_shards, 1) // n_procs)]
         workers = self._shard_workers(n_shards, n_procs) if n_procs > 1 else None
-        scale = self.scaler.scale
-        passes = (_shard_pass(self.params, self.model_cfg, self.cfg, self.step, scale, shard, batch) for shard in own)
+        params, optimizer, scale = self.params, self.optimizer, self.scaler.scale
+
+        def shard_pass(shard: PackedSequenceBatch, grads: dict[str, np.ndarray]) -> float:
+            return _shard_pass(params, self.model_cfg, self.cfg, self.step, scale, shard, batch, grads)
+
         try:
             if workers is not None:
-                workers.start_step(self.params, batch, self.model_cfg, self.cfg, self.step, scale)
-                passes = chain(passes, workers.gather())
-            loss_total, combined = next(passes)
-            for loss, grads in passes:
-                loss_total += loss
-                for name, g in combined.items():
-                    g += grads[name]
+                workers.start_step(batch, self.model_cfg, self.cfg, self.step, scale)
+            loss_total = shard_pass(own[0], optimizer.grads)
+            if len(own) > 1:
+                scratch = np.empty_like(optimizer.grad_flat)
+                views = params.views(scratch)
+                for shard in own[1:]:
+                    loss_total += shard_pass(shard, views)
+                    optimizer.grad_flat += scratch
+            if workers is not None:
+                for loss, slot in workers.gather():
+                    loss_total += loss
+                    optimizer.grad_flat += slot
         except BaseException:
             self._close_workers()
             raise
-        self.params.zero_grads()
-        return combined, loss_total
+        return loss_total
 
     def compute_gradients(self, batch: PackedSequenceBatch, n_shards: int = 1) -> tuple[dict[str, np.ndarray], float]:
-        """Unscaled full-batch gradients and loss, without touching any state."""
-        grads, loss = self._scaled_gradients(batch, n_shards)
-        return {name: g / self.scaler.scale for name, g in grads.items()}, loss
+        """Unscaled full-batch gradients and loss; parameters, moments and counters stay as they are."""
+        loss = self._scaled_gradients(batch, n_shards)
+        return {name: g / self.scaler.scale for name, g in self.optimizer.grads.items()}, loss
 
     def data_parallel_step(self, batch: PackedSequenceBatch, n_shards: int = 1) -> StepMetrics:
         """Shard the batch, reduce gradients in fixed shard order, update once."""
-        grads, loss = self._scaled_gradients(batch, n_shards)
-        return self._apply_update(grads, loss)
+        loss = self._scaled_gradients(batch, n_shards)
+        return self._apply_update(self.optimizer.grads, loss)
 
     # perfbench/ patches, and the acceptance suite calls, the step by this name
     train_step = data_parallel_step
@@ -390,8 +381,9 @@ def load_engine_checkpoint(path: str) -> TrainEngine:
         engine.scaler = LossScaler(**extra["scaler"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the engine from its record: {exc}") from None
-    engine.optimizer.m = extra["adam_m"]
-    engine.optimizer.v = extra["adam_v"]
+    for moments, saved in ((engine.optimizer.m, extra["adam_m"]), (engine.optimizer.v, extra["adam_v"])):
+        for name, array in saved.items():
+            moments[name][...] = array
     return engine
 
 

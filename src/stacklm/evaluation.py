@@ -216,11 +216,12 @@ def finetune(
     head: str,
     settings: FinetuneSettings = FinetuneSettings(),
 ) -> FinetunedModel:
-    """Replace the pretraining heads with a zero classifier head and train.
+    """Replace the pretraining heads with a zero classifier head and train, in place.
 
-    The returned parameters are ``parameter_inventory(cfg, n_classes)``:
-    the given body, trained in place, plus a fresh ``cls.*`` of the
-    dataset's label count, also where the given parameters carried one.
+    ``params`` becomes ``parameter_inventory(cfg, n_classes)``: its body,
+    trained, plus a fresh ``cls.*`` of the dataset's label count, also
+    where it carried one.  The returned model holds that same object, so
+    the model holds one copy of the body, never two.
 
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
     stops requiring ``text_b`` on every example.
@@ -230,7 +231,7 @@ def finetune(
     """
     _check_finetune_inputs(cfg, vocab, dataset, head)
     dtype = params["tok_emb"].dtype
-    full = ModelParams({
+    params.reset({
         name: (Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
                if name.startswith("cls.") else params[name])
         for name, shape, _ in parameter_inventory(cfg, len(dataset.label_vocab))
@@ -251,9 +252,9 @@ def finetune(
         schedule=TrainSchedule(settings.learning_rate, 0.0, warmup_steps=0, total_steps=max(total, 1) + 1, decay_shape="linear"),
         seed=settings.seed,
     )
-    engine = TrainEngine(full, cfg, engine_cfg)
+    engine = TrainEngine(params, cfg, engine_cfg)
     history = train_loop(engine, batch_fn, total)
-    return FinetunedModel(full, cfg, list(dataset.label_vocab), history)
+    return FinetunedModel(params, cfg, list(dataset.label_vocab), history)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +358,9 @@ def depth_sweep(
     rows: list[tuple[int, EvalMetrics]] = []
     for depth, cfg in zip(depths, configs):
         try:
-            params = build_model(cfg, seed=build_seed)
-            model = finetune(params, cfg, vocab, train_set, head, settings)
+            model = finetune(build_model(cfg, seed=build_seed), cfg, vocab, train_set, head, settings)
             rows.append((depth, evaluate(model, vocab, dev_set)))
+            del model  # the next depth trains without this one's parameters
         except Exception as exc:
             raise SweepError(f"depth {depth} failed: {exc}", rows) from exc
     best_depth, _ = max(

@@ -30,6 +30,8 @@ total number of transformer layers.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import warnings
 import zipfile
 from dataclasses import dataclass, fields
@@ -185,11 +187,85 @@ def count_params(cfg: ModelConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_inventory(cfg))
 
 
+_EMBEDDING_NAMES = frozenset({"tok_emb", "pos_emb", "type_emb"})
+
+
+def wants_weight_decay(name: str, shape: tuple[int, ...]) -> bool:
+    """Matrices decay; vectors (biases and norm gains) and the embedding tables do not."""
+    return len(shape) >= 2 and name not in _EMBEDDING_NAMES
+
+
+def mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping of its own.
+
+    A forked process reads and writes the same memory, and the memory goes
+    back to the system when the array is freed: glibc keeps a freed heap
+    block's pages, so a per-model buffer on the heap would leave its size
+    in the process's footprint for good.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buffer, dtype, count=count).reshape(shape)
+
+
 class ModelParams:
-    """Named parameter tensors in inventory order."""
+    """Named parameter tensors in inventory order, laid out in one flat buffer.
+
+    ``flat`` holds every parameter in the parameters' one dtype, and every
+    tensor's ``data`` is its view of it.  ``table`` maps each name to its
+    (offset, shape): the layout of the arena, which is ``flat`` plus the
+    gradient and Adam moment buffers an optimizer state lays out the same
+    way (``views``).  Tensors that take weight decay come first, so each
+    decay group is one contiguous ``segments`` slice.  ``flat`` is a shared
+    anonymous mapping: forked shard workers read the parameters the parent
+    updates without a copy.
+    """
 
     def __init__(self, tensors: dict[str, Tensor]):
-        self.tensors = tensors
+        self.reset(tensors)
+
+    def reset(self, tensors: dict[str, Tensor]) -> None:
+        """Hold exactly ``tensors``, their values copied into a new arena.
+
+        The tensors may be this object's own: the old arena is freed once
+        nothing holds a view of it.
+        """
+        dtypes = {t.dtype for t in tensors.values()}
+        if len(dtypes) > 1:
+            raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        self._lay_out({name: t.shape for name, t in tensors.items()}, dtypes.pop() if dtypes else np.float32)
+        for name, t in tensors.items():
+            self.tensors[name].data[...] = t.data
+
+    @classmethod
+    def zeros(cls, shapes: dict[str, tuple[int, ...]], dtype) -> "ModelParams":
+        """Every named parameter of ``shapes``, at zero."""
+        params = cls.__new__(cls)
+        params._lay_out(shapes, dtype)
+        return params
+
+    def _lay_out(self, shapes: dict[str, tuple[int, ...]], dtype) -> None:
+        order = sorted(shapes, key=lambda name: not wants_weight_decay(name, shapes[name]))
+        offsets, end, n_decayed = {}, 0, 0
+        for name in order:
+            offsets[name] = end
+            end += math.prod(shapes[name])
+            if wants_weight_decay(name, shapes[name]):
+                n_decayed = end
+        self.table = {name: (offsets[name], tuple(shape)) for name, shape in shapes.items()}
+        self.segments = {"decayed": slice(0, n_decayed), "undecayed": slice(n_decayed, end)}
+        self.flat = mapped_zeros((end,), dtype)
+        self.tensors = {
+            name: Tensor(view, requires_grad=True, name=name) for name, view in self.views(self.flat).items()
+        }
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view of ``flat``, a buffer laid out like ``self.flat``."""
+        return {
+            name: flat[offset : offset + math.prod(shape)].reshape(shape)
+            for name, (offset, shape) in self.table.items()
+        }
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -204,29 +280,33 @@ class ModelParams:
         return self.tensors.items()
 
     def element_count(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.flat.size
+
+    def route_grads(self, grads: Optional[dict[str, np.ndarray]]) -> None:
+        """Clear the gradients; the next backward writes each into its view in ``grads`` (None: fresh arrays)."""
+        for name, t in self.tensors.items():
+            t.grad = None
+            t.grad_buffer = None if grads is None else grads[name]
 
     def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
+        self.route_grads(None)
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Instantiate every inventory entry with the documented initialization."""
     rng = np.random.default_rng(seed)
     residual_scale = 1.0 / np.sqrt(2.0 * max(cfg.n_layers, 1))
-    tensors: dict[str, Tensor] = {}
-    for name, shape, kind in parameter_inventory(cfg):
+    inventory = parameter_inventory(cfg)
+    params = ModelParams.zeros({name: shape for name, shape, _ in inventory}, dtype)
+    for name, shape, kind in inventory:
+        data = params[name].data
         if kind == "normal":
-            data = rng.normal(0.0, INIT_STD, size=shape)
+            data[...] = rng.normal(0.0, INIT_STD, size=shape)
         elif kind == "residual":
-            data = rng.normal(0.0, INIT_STD * residual_scale, size=shape)
+            data[...] = rng.normal(0.0, INIT_STD * residual_scale, size=shape)
         elif kind == "ones":
-            data = np.ones(shape)
-        else:
-            data = np.zeros(shape)
-        tensors[name] = Tensor(data.astype(dtype), requires_grad=True, name=name)
-    return ModelParams(tensors)
+            data.fill(1.0)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +566,7 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict
         arr = archive[key]
         if arr.shape != expected[name]:
             raise ConfigError(f"checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
-        arrays[name] = arr.copy()
+        arrays[name] = arr
     missing = set(expected) - set(arrays)
     if missing:
         raise ConfigError(f"checkpoint is missing {slot} arrays: {sorted(missing)[:5]}")
@@ -501,13 +581,14 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
     with as many classes as ``cls.w`` has columns, for an encoder whose
     checkpoint carries ``cls.w``.
     """
-    try:
-        archive = np.load(path)
-        meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
-        version = meta.get("version")
-    except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
-        raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
-    with archive:
+    # np.load(path) leaks its file when a damaged archive fails to open; a handle of ours closes on every path
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh)
+            meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
+            version = meta.get("version")
+        except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
+            raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
         if not isinstance(meta.get("config"), str):

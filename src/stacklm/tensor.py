@@ -35,10 +35,12 @@ class Tensor:
     """A dense array plus its gradient slot.
 
     ``data`` is always a numpy float array; ``grad`` is filled in (same
-    shape) by ``Tape.backward`` for tensors with ``requires_grad``.
+    shape) by ``Tape.backward`` for tensors with ``requires_grad``.  The
+    first gradient is a fresh array, or is written into ``grad_buffer``
+    when one is set (a parameter's slot in an arena of gradients).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad", "grad_buffer", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -47,6 +49,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.grad_buffer: Optional[np.ndarray] = None
         self.name = name
 
     @property
@@ -150,10 +153,13 @@ def no_recording():
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     if grad.shape != tensor.data.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {tensor.data.shape}")
-    if tensor.grad is None:
+    if tensor.grad is not None:
+        tensor.grad += grad
+    elif tensor.grad_buffer is None:
         tensor.grad = grad.astype(tensor.dtype, copy=True)
     else:
-        tensor.grad += grad
+        np.copyto(tensor.grad_buffer, grad)
+        tensor.grad = tensor.grad_buffer
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:

@@ -62,6 +62,22 @@ def test_pretrain_rejects_nonpositive_shards(tmp_path, capsys):
         assert not (tmp_path / f"run{shards}" / "vocab.txt").exists()
 
 
+def test_pretrain_model_missing_a_parameter_leaves_no_run_directory(tmp_path, capsys):
+    # no decoder block reads a depth-0 encoder's output, so its final norm gets no gradient
+    text = (CONFIGS / "cpm-2-x-s.cfg").read_text(encoding="utf-8")
+    config = tmp_path / "depth0.cfg"
+    config.write_text(re.sub(r"(?m)^n_layers\s*=.*$", "n_layers = 0", text), encoding="utf-8")
+    rc = main([
+        "pretrain", "--toy", "--config", str(config), "--corpus", str(TOY_CORPUS),
+        "--steps", "3", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+    assert "enc_final.gain, enc_final.bias" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv):
     vocab = bpe.train_bpe("some words repeat words repeat some", 60)
     vocab_path = tmp_path / "vocab.txt"

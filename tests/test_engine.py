@@ -255,26 +255,67 @@ SHADOW_STEPS = 10
 SHADOW_BOUND = 2.4e-7
 
 
-def shadow_loss_deviation(family, seed):
-    """Largest relative deviation of float32 step losses from a float64 run from the same init."""
+def shadow_runs(family, seed):
+    """Train float32 and a float64 shadow from the same init: the config, the init and (losses, params) per run."""
     cfg = ModelConfig(family, 2, d_layer=32, n_heads=2, d_head=16, vocab_size=31, max_seq_len=32, dropout_p=0.1)
     params32 = build_model(cfg, seed=seed)
-    params64 = ModelParams(
-        {name: Tensor(t.data.astype(np.float64), requires_grad=True, name=name) for name, t in params32.items()}
-    )
+    init = {name: t.data.astype(np.float64) for name, t in params32.items()}
+    params64 = ModelParams({name: Tensor(data.copy(), requires_grad=True, name=name) for name, data in init.items()})
     schedule = TrainSchedule(1e-3, 0.0, warmup_steps=2, total_steps=SHADOW_STEPS)
     batch_fn = family_batches(family, seq_len=32)
-    losses = []
+    runs = []
     for params in (params32, params64):
         engine = TrainEngine(params, cfg, EngineConfig(schedule, seed=seed))
-        losses.append(np.array([m.loss for m in train_loop(engine, batch_fn, SHADOW_STEPS)]))
-    return float(np.max(np.abs(losses[0] - losses[1]) / np.abs(losses[1])))
+        runs.append((np.array([m.loss for m in train_loop(engine, batch_fn, SHADOW_STEPS)]), params))
+    return cfg, init, runs
+
+
+def shadow_loss_deviation(family, seed):
+    """Largest relative deviation of float32 step losses from a float64 run from the same init."""
+    _, _, ((losses32, _), (losses64, _)) = shadow_runs(family, seed)
+    return float(np.max(np.abs(losses32 - losses64) / np.abs(losses64)))
 
 
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
 def test_float32_losses_track_float64_shadow(family):
     # nonzero: the shadow really ran in float64
     assert 0.0 < shadow_loss_deviation(family, seed=0) < SHADOW_BOUND
+
+
+# The per-parameter standard: each parameter's float32 movement over the
+# shadow run, relative to its own float64 movement.  Set on the code before
+# the flat arena: the largest deviation over seeds 0-5 and the three families
+# was 4.84e-5 (a layer-norm gain); the bound is twice that, rounded up.
+# Never widen it.
+SHADOW_PARAM_BOUND = 1.0e-4
+
+
+def shadow_parameter_deviations(family, seed):
+    """Each parameter's relative deviation ||d32 - d64|| / ||d64|| of its float32 movement from its float64 one.
+
+    The key biases are left out: ``cross.b_k`` and the k third of
+    ``attn.b_qkv`` add the same score to every key of a query, which softmax
+    cancels, so their gradient is exactly zero.  Float32 Adam still moves
+    them by normalized rounding noise, and float64 by almost nothing.
+    """
+    cfg, init, ((_, params32), (_, params64)) = shadow_runs(family, seed)
+    deviations = {}
+    for name, start in init.items():
+        if name.endswith("cross.b_k"):
+            continue
+        keep = np.ones(start.shape, dtype=bool)
+        if name.endswith("attn.b_qkv"):
+            keep[cfg.d_attn : 2 * cfg.d_attn] = False
+        moved32 = params32[name].data.astype(np.float64)[keep] - start[keep]
+        moved64 = params64[name].data[keep] - start[keep]
+        deviations[name] = float(np.linalg.norm(moved32 - moved64) / np.linalg.norm(moved64))
+    return deviations
+
+
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_float32_parameters_track_float64_shadow(family):
+    deviations = shadow_parameter_deviations(family, seed=0)
+    assert all(0.0 < value < SHADOW_PARAM_BOUND for value in deviations.values()), deviations
 
 
 def test_non_divisible_shards_rejected():
@@ -391,6 +432,40 @@ def test_checkpoint_restores_bit_identical_continuation(tmp_path):
         assert np.array_equal(t.data, restored.params[name].data), name
     for name in engine.optimizer.m:
         assert np.array_equal(engine.optimizer.m[name], restored.optimizer.m[name])
+
+
+def test_checkpoint_restores_moments_into_the_arena(tmp_path):
+    _, _, engine = model_and_engine(seed=43)
+    train_loop(engine, lm_batches(seed=3), n_steps=3)
+    path = str(tmp_path / "engine.npz")
+    save_engine_checkpoint(path, engine)
+    restored = load_engine_checkpoint(path).optimizer
+    for flat, views, saved in ((restored.m_flat, restored.m, engine.optimizer.m),
+                               (restored.v_flat, restored.v, engine.optimizer.v)):
+        assert flat.any()
+        for name, view in views.items():
+            assert np.shares_memory(view, flat) and np.array_equal(view, saved[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_gradients_land_in_the_arena(dtype):
+    cfg = ModelConfig("encoder-only", 1, d_layer=16, n_heads=2, d_head=8, vocab_size=31, max_seq_len=16)
+    params = build_model(cfg, seed=3, dtype=dtype)
+    engine = TrainEngine(params, cfg, EngineConfig(TrainSchedule(1e-3, 0.0, 0, 10), seed=3))
+    grads, _ = engine.compute_gradients(family_batches("encoder-only")(0), n_shards=2)
+    arena = engine.optimizer
+    assert arena.grad_flat.any()
+    for name, g in grads.items():
+        assert np.shares_memory(arena.grads[name], arena.grad_flat)
+        assert g.dtype == arena.grads[name].dtype == dtype
+        assert np.array_equal(g, arena.grads[name] / engine.scaler.scale), name
+    # outside a step the tape writes fresh arrays again, also after a pass that failed
+    assert all(t.grad is None and t.grad_buffer is None for _, t in params.items())
+    with pytest.raises(ShapeError):
+        engine.data_parallel_step(classifier_batch(seed=3))
+    assert all(t.grad is None and t.grad_buffer is None for _, t in params.items())
+    train_loop(engine, family_batches("encoder-only"), 2)
+    assert all(t.data.dtype == dtype and np.shares_memory(t.data, params.flat) for _, t in params.items())
 
 
 def test_engine_checkpoint_round_trips_non_default_config(tmp_path):

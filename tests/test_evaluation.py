@@ -176,6 +176,7 @@ def test_finetune_holds_exactly_the_body_and_classifier(vocab, monkeypatch):
     model = finetune(params, cfg, vocab, make_synthetic_pair_task(8, seed=0), "pair-classifier",
                      FinetuneSettings(learning_rate=1e-3, max_steps=3, batch_size=4))
     (engine,) = engines
+    assert model.params is params  # the body is trained in place: one copy of it, never two
     names = [name for name, _, _ in parameter_inventory(cfg, 2)]
     assert model.params.names() == list(engine.optimizer.m) == list(engine.optimizer.v) == names
     assert not [name for name in names if name.startswith(("mlm.", "sop."))]

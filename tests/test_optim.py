@@ -1,15 +1,21 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stacklm.model import ModelConfig, build_model
+from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, wants_weight_decay
 from stacklm.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     BERT_PRETRAIN_SCHEDULE,
+    CHUNK,
     GPT_PRETRAIN_SCHEDULE,
+    WEIGHT_DECAY,
     LossScaler,
     OptimizerState,
     ScheduleError,
@@ -18,8 +24,8 @@ from stacklm.optim import (
     clip_global_norm,
     loss_scaler_step,
     lr_at,
-    wants_weight_decay,
 )
+from stacklm.tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +108,11 @@ def test_clip_below_threshold_unchanged():
     assert out["a"] is grads["a"]
     for scale in LOSS_SCALES:
         scaled = {"a": np.array([0.3, 0.4]) * scale}
+        expect = unscale_then_clip(scaled, 1.0, scale)[0]["a"]
         out, norm = clip_global_norm(scaled, 1.0, loss_scale=scale)
         assert norm == pytest.approx(0.5)
         assert np.array_equal(out["a"], [0.3, 0.4])  # unscaled with the given scale
-        assert np.array_equal(out["a"], unscale_then_clip(scaled, 1.0, scale)[0]["a"])
+        assert np.array_equal(out["a"], expect)
 
 
 def test_clip_three_four_five():
@@ -114,9 +121,10 @@ def test_clip_three_four_five():
     assert np.allclose(out["a"], [0.6, 0.8])
     for scale in LOSS_SCALES:
         scaled = {"a": np.array([3.0, 4.0], dtype=np.float32) * scale}
+        expect = unscale_then_clip(scaled, 1.0, scale)[0]["a"]
         out, norm = clip_global_norm(scaled, 1.0, loss_scale=scale)
         assert norm == 5.0
-        assert np.array_equal(out["a"], unscale_then_clip(scaled, 1.0, scale)[0]["a"])
+        assert np.array_equal(out["a"], expect)
 
 
 def test_clip_concatenation_invariance():
@@ -136,6 +144,35 @@ def test_clip_nonfinite_signals_overflow():
             assert not np.isfinite(norm)
             assert np.isnan(norm) == np.isnan(bad), (bad, scale)
             assert out["a"] is grads["a"] and out["b"] is grads["b"]
+
+
+def test_clip_scales_the_given_arrays_in_place():
+    grads = {"a": np.array([3.0, 4.0], dtype=np.float32), "b": np.array([[0.0]], dtype=np.float32)}
+    before = {name: g for name, g in grads.items()}
+    out, norm = clip_global_norm(grads, 1.0, loss_scale=2.0)
+    assert norm == 2.5
+    assert out is grads and all(out[name] is before[name] for name in grads)
+    assert np.array_equal(grads["a"], np.array([0.6, 0.8], dtype=np.float32))
+
+
+# Set before the chunked sum was measured: pairwise float64 sums of squares
+# over chunks of CHUNK elements err by a few ulp, far below this.
+CHUNKED_NORM_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chunked_norm_matches_exact_sum(order):
+    rng = np.random.default_rng(3)
+    # several chunks, a ragged last one, and magnitudes spread over many octaves
+    grads = {
+        "w": np.asarray(rng.standard_normal((301, 257)) * np.exp(rng.uniform(-8, 8, (301, 257))), order=order),
+        "b": rng.standard_normal(CHUNK + 5),
+    }
+    grads = {name: g.astype(np.float32, order="K") for name, g in grads.items()}
+    assert grads["w"].flags[f"{order}_CONTIGUOUS"] and grads["w"].size > 2 * CHUNK
+    exact = math.sqrt(math.fsum(float(x) ** 2 for g in grads.values() for x in g.ravel()))
+    _, norm = clip_global_norm(grads, max_norm=math.inf)
+    assert math.isclose(norm, exact, rel_tol=CHUNKED_NORM_RTOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,9 +201,9 @@ def test_clip_unscale_matches_unscale_then_clip(values, scale, max_norm, dtype):
     """
     half = len(values) // 2
     grads = {"g": np.array(values[:half], dtype=dtype), "h": np.array(values[half:], dtype=dtype)}
-    out, norm = clip_global_norm(grads, max_norm, loss_scale=scale)
-    assert math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in out.values())) <= max_norm * (1 + 1e-6)
     expect, expect_norm = unscale_then_clip(grads, max_norm, scale)
+    out, norm = clip_global_norm({name: g.copy() for name, g in grads.items()}, max_norm, loss_scale=scale)
+    assert math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in out.values())) <= max_norm * (1 + 1e-6)
     tiny = np.finfo(dtype).tiny
     norm_floor = max(tiny, math.sqrt(np.finfo(np.float64).tiny))
     norm_exact = True
@@ -234,6 +271,94 @@ def test_decoupled_weight_decay_factor():
     for _ in range(3):
         adam_step(params, {"w": np.zeros((1, 2))}, state, lr=0.5)
     assert np.allclose(params["w"].data, 2.0 * (1 - 0.5 * 0.01) ** 3)
+
+
+def per_tensor_adam_step(params, grads, state, lr):
+    """The per-tensor update the arena replaced: the reference for its per-element arithmetic."""
+    state.step += 1
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    for name, g in grads.items():
+        tensor = params[name]
+        if wants_weight_decay(name, tensor.shape) and lr != 0.0:
+            tensor.data *= 1.0 - lr * WEIGHT_DECAY
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        if lr != 0.0:
+            tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_arena_adam_is_bit_identical_to_per_tensor_adam(dtype):
+    # a tied tok_emb larger than a chunk, so the decayed and undecayed segments both span chunks
+    cfg = ModelConfig("encoder-only", 2, d_layer=64, n_heads=4, d_head=16, vocab_size=600, max_seq_len=32)
+    arena = build_model(cfg, seed=4, dtype=dtype)
+    assert arena.segments["undecayed"].stop - arena.segments["undecayed"].start > CHUNK
+    ref_params = {name: Tensor(t.data.copy()) for name, t in arena.items()}
+    ref_state = SimpleNamespace(step=0, m={name: np.zeros(t.shape, dtype) for name, t in arena.items()},
+                                v={name: np.zeros(t.shape, dtype) for name, t in arena.items()})
+    state = OptimizerState(arena)
+    rng = np.random.default_rng(0)
+    for lr in (1e-3, 0.0, 3e-2, 1e-3):
+        grads = {name: (rng.standard_normal(t.shape) * 1e-2).astype(dtype) for name, t in arena.items()}
+        per_tensor_adam_step(ref_params, grads, ref_state, lr)
+        adam_step(arena, grads, state, lr)
+        for name, t in arena.items():
+            assert t.data.dtype == dtype
+            for got, want in ((t.data, ref_params[name].data), (state.m[name], ref_state.m[name]),
+                              (state.v[name], ref_state.v[name])):
+                assert got.tobytes() == want.tobytes(), (name, lr)
+
+
+def test_adam_needs_one_gradient_per_parameter():
+    params = toy_params()
+    state = OptimizerState(params)
+    grads = {n: np.zeros_like(t.data) for n, t in params.items()}
+    del grads["tok_emb"]
+    with pytest.raises(ValueError, match="missing \\['tok_emb'\\]"):
+        adam_step(params, grads, state, lr=1e-3)
+    grads["tok_emb"] = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="gradient for tok_emb has shape"):
+        adam_step(params, grads, state, lr=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the arena
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_arena_views_and_decayed_then_undecayed_layout(dtype):
+    cfg = ModelConfig("encoder-decoder", 2, d_layer=8, n_heads=2, d_head=4, vocab_size=11, max_seq_len=8)
+    params = build_model(cfg, seed=1, dtype=dtype)
+    state = OptimizerState(params)
+    flats = (params.flat, state.grad_flat, state.m_flat, state.v_flat)
+    assert all(flat.dtype == dtype and flat.shape == (params.element_count(),) for flat in flats)
+    decayed, undecayed = params.segments["decayed"], params.segments["undecayed"]
+    assert (decayed.start, decayed.stop, undecayed.stop) == (0, undecayed.start, params.flat.size)
+    for name, t in params.items():
+        offset, shape = params.table[name]
+        span = slice(offset, offset + t.size)
+        inside = decayed if wants_weight_decay(name, shape) else undecayed
+        assert inside.start <= span.start and span.stop <= inside.stop, name
+        for flat, view in zip(flats, (t.data, state.grads[name], state.m[name], state.v[name])):
+            assert view.shape == shape == t.shape and view.dtype == dtype
+            assert view.base is not None and np.shares_memory(view, flat[span]), name
+            assert view.__array_interface__["data"][0] == flat[span].__array_interface__["data"][0], name
+
+
+def test_arena_copies_its_tensors_in_and_keeps_one_dtype():
+    data = np.ones((2, 3), dtype=np.float32)
+    params = ModelParams({"w": Tensor(data), "b": Tensor(np.zeros(3, dtype=np.float32))})
+    assert not np.shares_memory(params["w"].data, data)
+    params["w"].data += 1.0
+    assert np.all(data == 1.0)
+    with pytest.raises(ConfigError, match="parameters mix dtypes"):
+        ModelParams({"w": Tensor(data), "b": Tensor(np.zeros(3))})
 
 
 def test_decay_set_excludes_vectors_and_embeddings():
