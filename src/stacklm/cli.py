@@ -59,9 +59,11 @@ from .evaluation import (
     load_tsv_dataset,
     make_synthetic_pair_task,
     render_sweep_csv,
+    synthetic_task_vocab,
 )
 from .fileio import atomic_write
 from .model import (
+    InputError,
     ModelConfig,
     build_model,
     count_params,
@@ -300,6 +302,15 @@ def _write_metrics_json(run: RunDirectory, metrics) -> None:
         fh.write("\n")
 
 
+def _check_label_vocab(labels, n_classes: int, source: str) -> None:
+    """Rejects labels that are not distinct strings, one per class of the classifier head."""
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+            and len(set(labels)) == len(labels)):
+        raise InputError(f"{source} must be a list of distinct strings, got {labels!r}")
+    if len(labels) != n_classes:
+        raise InputError(f"{source} {labels}: {len(labels)} labels for a classifier head of {n_classes} classes")
+
+
 def cmd_eval(args) -> int:
     run = RunDirectory(args)
     for role in ("checkpoint", "vocab", "data"):
@@ -308,9 +319,13 @@ def cmd_eval(args) -> int:
     if "cls.w" not in params:
         raise ValueError(f"{args.checkpoint} has no classifier head; evaluate a fine-tuned checkpoint")
     vocab = bpe.load_vocab(args.vocab)
+    n_classes = params["cls.w"].shape[-1]
     label_vocab = extra.get("label_vocab")
+    if label_vocab is not None:
+        _check_label_vocab(label_vocab, n_classes, f"{args.checkpoint}'s label vocabulary")
     dataset = load_tsv_dataset(args.data, args.split, label_vocab=label_vocab)
-    model = FinetunedModel(params, cfg, label_vocab or dataset.label_vocab, [])
+    _check_label_vocab(dataset.label_vocab, n_classes, f"the labels of {args.data}")
+    model = FinetunedModel(params, cfg, dataset.label_vocab, [])
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
     print(_metrics_line(metrics))
     _write_metrics_json(run, metrics)
@@ -335,8 +350,6 @@ def cmd_sweep(args) -> int:
         vocab = bpe.load_vocab(args.vocab)
     else:
         # bundled synthetic task so the sweep procedure runs out of the box
-        from .evaluation import synthetic_task_vocab
-
         train_set = make_synthetic_pair_task(args.task_examples, seed=args.seed, split="train")
         dev_set = make_synthetic_pair_task(max(8, args.task_examples // 4), seed=args.seed, split="dev")
         vocab = synthetic_task_vocab()

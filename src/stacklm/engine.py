@@ -267,19 +267,17 @@ class TrainEngine:
         self._workers: Optional[_ShardWorkers] = None
         self._workers_finalizer: Optional[weakref.finalize] = None
 
-    def _apply_update(self, grads: dict[str, np.ndarray], loss_value: float) -> StepMetrics:
-        """One decision from the global norm of ``grads``, one per parameter, which carry the loss scale.
+    def _apply_update(self, loss_value: float) -> StepMetrics:
+        """One decision from the global norm of the arena's gradients, which carry the loss scale.
 
-        The gradients are the arena's, or are copied into it; clip then
-        runs over the arena's two segments and Adam over the whole arena.
+        Clip runs over the arena's two segments and Adam over the whole arena.
         """
-        self.optimizer.load_grads(grads)
         _, norm = clip_global_norm(self._grad_segments, loss_scale=self.scaler.scale)
         skipped = not math.isfinite(norm)
         loss_scaler_step(self.scaler, not skipped)
         lr = lr_at(self.cfg.schedule, self.step + 1)
         if not skipped:
-            adam_step(self.params, self.optimizer.grads, self.optimizer, lr)
+            adam_step(self.params, self.optimizer, lr)
         metrics = StepMetrics(
             step=self.step,
             loss=loss_value,
@@ -350,9 +348,8 @@ class TrainEngine:
         return {name: g / self.scaler.scale for name, g in self.optimizer.grads.items()}, loss
 
     def data_parallel_step(self, batch: PackedSequenceBatch, n_shards: int = 1) -> StepMetrics:
-        """Shard the batch, reduce gradients in fixed shard order, update once."""
-        loss = self._scaled_gradients(batch, n_shards)
-        return self._apply_update(self.optimizer.grads, loss)
+        """Shard the batch, reduce gradients into the arena in fixed shard order, update once from it."""
+        return self._apply_update(self._scaled_gradients(batch, n_shards))
 
     # perfbench/ patches, and the acceptance suite calls, the step by this name
     train_step = data_parallel_step

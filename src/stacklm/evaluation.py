@@ -340,7 +340,6 @@ def depth_sweep(
     train_set: ClassificationDataset,
     dev_set: ClassificationDataset,
     settings: FinetuneSettings,
-    head: str = "pair-classifier",
     build_seed: int = 0,
 ) -> SweepResult:
     """Fine-tune otherwise-identical models at each depth and pick the best.
@@ -348,8 +347,10 @@ def depth_sweep(
     Every depth gets the same seed and budget.  The winner is the
     argmax-accuracy depth, ties broken toward the smaller depth.  An input
     that no depth can train on or be scored on is rejected before the first
-    depth runs; a failure of one depth raises ``SweepError``.
+    depth runs; a failure of one depth raises ``SweepError``.  Every depth
+    trains a ``pair-classifier`` head.
     """
+    head = "pair-classifier"
     if len(depths) < 2:
         raise ConfigError("a depth sweep needs at least two depths")
     configs = [replace(base_cfg, n_layers=depth) for depth in depths]

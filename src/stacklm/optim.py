@@ -14,7 +14,8 @@ Clip and Adam run on flat memory in chunks of ``CHUNK`` elements: clip over the
 arrays it is given (the engine gives it the arena's two weight-decay
 segments), Adam over the arena, four parallel flat buffers laid out by
 ``ModelParams``: its parameters, and the gradients and moments of the
-``OptimizerState``.
+``OptimizerState``.  The arena is Adam's only input: the gradients it
+applies are the ones in ``OptimizerState.grad_flat``.
 """
 
 from __future__ import annotations
@@ -131,34 +132,15 @@ class OptimizerState:
         self.m = params.views(self.m_flat)
         self.v = params.views(self.v_flat)
 
-    def load_grads(self, grads: dict[str, np.ndarray]) -> None:
-        """Copy one gradient per parameter into ``grad_flat``; its own views stay as they are."""
-        if grads is self.grads:
-            return
-        if grads.keys() != self.grads.keys():
-            missing, unexpected = self.grads.keys() - grads.keys(), grads.keys() - self.grads.keys()
-            raise ValueError(f"gradients must name every parameter: missing {sorted(missing)[:5]}, "
-                             f"unexpected {sorted(unexpected)[:5]}")
-        for name, g in grads.items():
-            view = self.grads[name]
-            if g is view:
-                continue
-            if g.shape != view.shape:
-                raise ValueError(f"gradient for {name} has shape {g.shape}, expected {view.shape}")
-            np.copyto(view, g)
 
+def adam_step(params: ModelParams, state: OptimizerState, lr: float) -> None:
+    """One bias-corrected Adam update of every parameter from ``state.grad_flat``, with decoupled weight decay.
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update of every parameter, with decoupled weight decay.
-
-    ``grads`` holds one gradient per parameter; any that is not already
-    ``state``'s view is copied into ``state.grad_flat`` first.  The update
-    then runs in place over each weight-decay segment of the arena, a chunk
-    of at most ``CHUNK`` elements at a time with two chunk-sized
+    The update runs in place over each weight-decay segment of the arena, a
+    chunk of at most ``CHUNK`` elements at a time with two chunk-sized
     temporaries.  Per element it is the arithmetic of a per-tensor update,
     in the same order.
     """
-    state.load_grads(grads)
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step

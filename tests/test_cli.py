@@ -190,6 +190,14 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         cases.append(["finetune", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--train", str(tsv)])
     for bad in bad_evals:
         cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
+    # label vocabularies that are not distinct strings, one per class of the 2-class head; every label here is "0"
+    zeros_tsv = tmp_path / "zeros.tsv"
+    zeros_tsv.write_text("text_a\ttext_b\tlabel\nsome words\trepeat\t0\nwords repeat\tsome\t0\n")
+    for i, label_vocab in enumerate((5, ["0"], None, ["0", "1", "2"], "01", ["0", "0"])):
+        save_checkpoint(str(tmp_path / f"labels{i}.npz"), tuned.params, cfg,
+                        extra={} if label_vocab is None else {"label_vocab": label_vocab})
+        cases.append(["eval", "--checkpoint", str(tmp_path / f"labels{i}.npz"), "--vocab", str(vocab_path),
+                      "--data", str(zeros_tsv)])
     for i, argv in enumerate(cases):
         rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
         assert rc == 1, argv

@@ -35,6 +35,13 @@ def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False,
     return cfg, params, TrainEngine(params, cfg, engine_cfg)
 
 
+def update_from(engine, grads, loss_value):
+    """Writes ``grads`` into the engine's arena, then takes its update step from the arena."""
+    for name, g in grads.items():
+        engine.optimizer.grads[name][...] = g
+    return engine._apply_update(loss_value)
+
+
 def lm_batches(seed=0, seq_len=12, batch_size=4, vocab=31):
     rng = np.random.default_rng(seed)
     docs = [list(rng.integers(5, vocab, size=rng.integers(6, 30))) for _ in range(12)]
@@ -223,7 +230,7 @@ def test_single_shard_is_exactly_train_step():
                 scaled = T.scale(loss, ref.scaler.scale)
             tape.backward(scaled)
             grads = {n: t.grad if t.grad is not None else np.zeros_like(t.data) for n, t in ref_params.items()}
-            expected.append(ref._apply_update(grads, float(loss.data)))
+            expected.append(update_from(ref, grads, float(loss.data)))
 
         assert [m.to_json() for m in history] == [m.to_json() for m in expected], family
         for name, t in params.items():
@@ -355,7 +362,7 @@ def test_shard_compute_order_does_not_matter():
     for name in engine.params.names():
         combined[name] = shard_grads[0][name] + shard_grads[1][name]
     engine.params.zero_grads()
-    engine._apply_update(combined, 0.0)
+    update_from(engine, combined, 0.0)
     for name, t in params_a.items():
         assert np.array_equal(t.data, params_b[name].data), name
 
@@ -377,7 +384,7 @@ def test_skipped_step_on_overflow_keeps_parameters():
         _, params, engine = model_and_engine()
         before = {n: t.data.copy() for n, t in params.items()}
         grads = {n: np.full_like(t.data, bad) for n, t in params.items()}
-        metrics = engine._apply_update(grads, 1.0)
+        metrics = update_from(engine, grads, 1.0)
         assert metrics.skipped
         assert engine.scaler.scale == 2.0**15
         # the observed non-finite norm is reported, inf for an inf gradient
@@ -394,7 +401,7 @@ def test_nonfinite_gradient_skips_step_without_loss_scaler():
         before = {n: t.data.copy() for n, t in params.items()}
         grads = {n: np.zeros_like(t.data) for n, t in params.items()}
         grads["tok_emb"][1, 2] = bad
-        metrics = engine._apply_update(grads, 1.0)
+        metrics = update_from(engine, grads, 1.0)
         assert metrics.skipped and not np.isfinite(metrics.grad_norm)
         assert engine.optimizer.step == 0 and engine.step == 1
         for n, t in params.items():
@@ -410,7 +417,7 @@ def test_nonfinite_gradient_skips_step_without_loss_scaler():
     engine.scaler.consecutive_good_steps = engine.scaler.growth_interval - 1
     for _ in range(2):
         grads = {n: np.zeros_like(t.data) for n, t in params.items()}
-        assert engine._apply_update(grads, 0.0).loss_scale == 1.0
+        assert update_from(engine, grads, 0.0).loss_scale == 1.0
     assert engine.scaler.consecutive_good_steps == 1
 
 

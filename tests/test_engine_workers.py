@@ -1,8 +1,8 @@
 """Shards on forked workers: bit-identical to the one-process loop, and no worker outlives its owner.
 
 The tests make the engine see two usable cores at one BLAS thread (the
-digest test also one core), so a multi-shard step runs on at most two
-processes: the parent and one worker.
+digest test also one core, and three), so a multi-shard step runs on the
+parent and one worker (two in the digest test's three-core split).
 """
 
 import gc
@@ -41,10 +41,10 @@ def two_processes(monkeypatch):
     assert shard_processes(1) == 1
 
 
-def run_digest(family, n_shards, recompute, expect_worker):
+def run_digest(family, n_shards, batch_size, recompute, expect_workers):
     _, params, engine = model_and_engine(family=family, seed=5, recompute=recompute)
-    history = train_loop(engine, family_batches(family, batch_size=8), 3, n_shards=n_shards)
-    assert bool(multiprocessing.active_children()) == expect_worker
+    history = train_loop(engine, family_batches(family, batch_size=batch_size), 3, n_shards=n_shards)
+    assert len(multiprocessing.active_children()) == expect_workers
     digest = hashlib.sha256()
     for metrics in history:
         digest.update(metrics.to_json().encode())
@@ -56,11 +56,17 @@ def run_digest(family, n_shards, recompute, expect_worker):
 
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
 def test_worker_steps_are_bit_identical_to_one_process(family, monkeypatch):
-    cases = [(n_shards, recompute) for n_shards in (2, 4) for recompute in (False, True)]
-    use_cores(monkeypatch, 1)
-    alone = [run_digest(family, *case, expect_worker=False) for case in cases]
-    use_cores(monkeypatch, 2)
-    forked = [run_digest(family, *case, expect_worker=True) for case in cases]
+    # (shards, batch rows, cores, workers): equal blocks on two processes; then the parent runs
+    # shard 0 and one worker shards 1-2; then blocks of 1, 1 and 2 shards on three processes
+    splits = [(2, 8, 2, 1), (4, 8, 2, 1), (3, 6, 2, 1), (4, 8, 3, 2)]
+    alone, forked = [], []
+    for n_shards, batch_size, cores, workers in splits:
+        for recompute in (False, True):
+            use_cores(monkeypatch, 1)
+            alone.append(run_digest(family, n_shards, batch_size, recompute, expect_workers=0))
+            use_cores(monkeypatch, cores)
+            assert shard_processes(n_shards) == workers + 1
+            forked.append(run_digest(family, n_shards, batch_size, recompute, expect_workers=workers))
     assert forked == alone
 
 
