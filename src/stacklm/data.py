@@ -12,13 +12,14 @@ position gets target 0 and weight 0, as pads do.
 
 Batch construction is deterministic: the content of batch ``k`` depends
 only on (packed corpus, seed, k), never on timing, so sharded and replayed
-runs see identical data.
+runs see identical data.  Each masked-LM row draws its segment swap and then
+its masking from one random stream keyed by (seed, k, example id).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .bpe import SPECIAL_NAMES, TokenizerVocab, encode
 
 _MASK_DOMAIN = 0xB0CA
-_SOP_DOMAIN = 0x50B1
 
 
 class DataError(ValueError):
@@ -90,7 +90,10 @@ class MaskingPolicy:
 def read_documents(path: str) -> list[str]:
     """Blank-line-separated document blocks from a UTF-8 text file."""
     with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+        try:
+            raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     docs = []
     for block in raw.split("\n\n"):
         block = block.strip("\n")
@@ -151,46 +154,35 @@ def pack_documents(
 
 def word_spans(row: np.ndarray, special_ids: frozenset[int]) -> list[tuple[int, int]]:
     """Maximal runs of non-special positions: the word units for masking."""
-    spans = []
-    start = None
-    for i, token in enumerate(row):
-        if int(token) in special_ids:
-            if start is not None:
-                spans.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        spans.append((start, len(row)))
-    return spans
+    is_word = np.zeros(len(row) + 2, dtype=np.int8)
+    is_word[1:-1] = ~(row[:, None] == list(special_ids)).any(axis=1)
+    edges = np.flatnonzero(np.diff(is_word)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def apply_whole_word_ngram_mask(
     batch: PackedSequenceBatch,
     policy: MaskingPolicy,
-    boundaries: Sequence[Sequence[tuple[int, int]]],
     vocab: TokenizerVocab,
-    seed: int,
+    rngs: Sequence[np.random.Generator],
 ) -> PackedSequenceBatch:
-    """Corrupt whole-word n-grams and mark them in the loss mask.
+    """Corrupt whole-word n-grams of ``batch`` in place and weigh only them.
 
-    Word-level n-grams (n uniform in [1, ngram_max], capped at the
-    remaining budget) are chosen until ceil(corruption_rate * word_count)
-    word units are covered, at least one per sequence.  Every position of a
-    chosen word receives the mask token, a random content token or its
-    original value according to the action split.  Special positions are
-    never corrupted.
+    Row ``r`` draws from ``rngs[r]``.  Word-level n-grams (n uniform in
+    [1, ngram_max], capped at the remaining budget) are chosen until
+    ceil(corruption_rate * word_count) word units are covered, at least one
+    per sequence.  Every position of a chosen word then receives the mask
+    token, a random content token or its original value according to the
+    action split.  Special positions are never corrupted.  ``targets``
+    become the original ids and ``loss_mask`` marks the chosen positions.
     """
-    ids = batch.ids.copy()
-    targets = batch.ids.copy()
-    loss_mask = np.zeros_like(batch.loss_mask)
+    batch.targets = batch.ids.copy()
+    batch.loss_mask.fill(0.0)
     content_base = len(SPECIAL_NAMES)
-    seed_key = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
-    for r in range(batch.batch_size):
-        spans = list(boundaries[r])
+    for r, rng in enumerate(rngs):
+        spans = word_spans(batch.ids[r], vocab.special_ids)
         if not spans:
             continue
-        rng = np.random.default_rng((_MASK_DOMAIN, *seed_key, int(batch.example_ids[r])))
         n_words = len(spans)
         target_count = max(1, math.ceil(policy.corruption_rate * n_words))
         chosen: set[int] = set()
@@ -204,25 +196,24 @@ def apply_whole_word_ngram_mask(
         for w in sorted(chosen):
             lo, hi = spans[w]
             for pos in range(lo, hi):
-                loss_mask[r, pos] = 1.0
+                batch.loss_mask[r, pos] = 1.0
                 u = rng.random()
                 if u < policy.mask_prob:
-                    ids[r, pos] = vocab.mask_id
+                    batch.ids[r, pos] = vocab.mask_id
                 elif u < policy.mask_prob + policy.random_prob:
-                    ids[r, pos] = int(rng.integers(content_base, vocab.size))
-    return replace(batch, ids=ids, loss_mask=loss_mask, targets=targets)
+                    batch.ids[r, pos] = int(rng.integers(content_base, vocab.size))
+    return batch
 
 
 def make_sop_example(
-    segment_a: Sequence[int], segment_b: Sequence[int], seed: int
-) -> tuple[list[int], list[int], int]:
+    segment_a: Sequence[int], segment_b: Sequence[int], rng: np.random.Generator
+) -> tuple[Sequence[int], Sequence[int], int]:
     """Swap the two segments with probability one half; label 1 = original order."""
     if len(segment_a) == 0 or len(segment_b) == 0:
         raise DataError("segment-order examples need two non-empty segments")
-    rng = np.random.default_rng((_SOP_DOMAIN, seed))
     if rng.random() < 0.5:
-        return list(segment_b), list(segment_a), 0
-    return list(segment_a), list(segment_b), 1
+        return segment_b, segment_a, 0
+    return segment_a, segment_b, 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +248,31 @@ def make_mlm_batch(
     """Masked-token batch with segment-order labels.
 
     Segments are the two contiguous halves of each packed sequence; they
-    are swapped with probability one half before masking, and segment
-    markers (0/1) follow the swapped layout.
+    are swapped with probability one half before masking.  Segment markers
+    are 0 on the first ``seq_len // 2`` positions and 1 after them.  Pads
+    are special tokens, so masking alone decides the loss weights.
     """
-    ids, mask = packed
+    ids = packed[0]
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
     seq_len = ids.shape[1]
     half = seq_len // 2
+    rngs = [np.random.default_rng((_MASK_DOMAIN, seed, batch_index, int(row))) for row in rows]
     out_ids = np.empty((batch_size, seq_len), dtype=np.int64)
-    out_mask = np.empty((batch_size, seq_len), dtype=np.float64)
     labels = np.empty(batch_size, dtype=np.int64)
     type_ids = np.zeros((batch_size, seq_len), dtype=np.int64)
     type_ids[:, half:] = 1
-    for j, row in enumerate(rows):
-        example_seed = int(np.random.default_rng((_SOP_DOMAIN, seed, batch_index, int(row))).integers(2**31))
-        a, b, label = make_sop_example(ids[row, :half], ids[row, half:], example_seed)
+    for j, (row, rng) in enumerate(zip(rows, rngs)):
+        a, b, label = make_sop_example(ids[row, :half], ids[row, half:], rng)
         out_ids[j] = np.concatenate([a, b])
-        ma, mb = mask[row, :half], mask[row, half:]
-        out_mask[j] = np.concatenate([ma, mb] if label == 1 else [mb, ma])
         labels[j] = label
     batch = PackedSequenceBatch(
         ids=out_ids,
-        loss_mask=out_mask,
+        loss_mask=np.zeros((batch_size, seq_len)),
         example_ids=rows,
         labels=labels,
         type_ids=type_ids,
     )
-    boundaries = [word_spans(out_ids[j], vocab.special_ids) for j in range(batch_size)]
-    masked = apply_whole_word_ngram_mask(batch, policy, boundaries, vocab, (seed, batch_index))
-    return masked
+    return apply_whole_word_ngram_mask(batch, policy, vocab, rngs)
 
 
 def make_seq2seq_batch(

@@ -61,8 +61,8 @@ class ClassificationDataset:
 
 
 def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = None) -> ClassificationDataset:
-    """Tab-separated file with a header naming text_a[, text_b], label."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """Tab-separated UTF-8 file, byte-order mark allowed, with a header naming text_a[, text_b], label."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             rows = list(csv.DictReader(fh, delimiter="\t"))
         except (csv.Error, UnicodeDecodeError) as exc:

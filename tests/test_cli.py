@@ -129,6 +129,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     (tmp_path / "latin1.csv").write_bytes("model,time,steps,gpus\ncaf\u00e9,1h,5K,2\n".encode("latin-1"))
     (tmp_path / "long.tsv").write_text("text_a\ttext_b\tlabel\n" + "a" * 140_000 + "\tb\t1\n")
     (tmp_path / "latin1.tsv").write_bytes("text_a\ttext_b\tlabel\ncaf\u00e9\tb\t1\n".encode("latin-1"))
+    (tmp_path / "latin1.txt").write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
     # model configs with a bad vocabulary size, sequence length or value, and one that is not UTF-8
     valid = "family = decoder-only\nn_layers = 2\nd_layer = 8\nn_heads = 2\nd_head = 4\nvocab_size = 99\n"
     bad_configs = []
@@ -178,6 +179,8 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
          "--positive-label", "yes"): "'yes' is not in the label vocabulary ['0', '1']",
         ("eval", "--checkpoint", str(tmp_path / "tuned3.npz"), "--vocab", str(vocab_path), "--data", str(three_tsv),
          "--positive-label", "a"): "precision, recall and F1 are binary-only",
+        ("pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(tmp_path / "latin1.txt"), "--toy",
+         "--steps", "1"): str(tmp_path / "latin1.txt"),
     }
     cases += [list(argv) for argv in named]
     for bad in ("long.tsv", "latin1.tsv"):

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stacklm import objectives
 from stacklm import tensor as T
-from stacklm.bpe import train_bpe
+from stacklm.bpe import SPECIAL_NAMES, train_bpe
 from stacklm.data import (
     DataError,
     MaskingPolicy,
@@ -101,6 +103,62 @@ def test_word_spans_split_on_specials(vocab):
     assert word_spans(row, vocab.special_ids) == [(0, 2), (3, 4), (5, 7)]
 
 
+def _word_spans_loop(row, special_ids):
+    spans, start = [], None
+    for i, token in enumerate(row):
+        if int(token) in special_ids:
+            if start is not None:
+                spans.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        spans.append((start, len(row)))
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(st.integers(0, 7), max_size=40), special_ids=st.frozensets(st.integers(0, 7)))
+@example(row=[0, 1, 0], special_ids=frozenset({0, 1}))  # every position special
+@example(row=[5, 6, 7], special_ids=frozenset({0, 1}))  # no special position
+@example(row=[0, 5, 6, 1], special_ids=frozenset({0, 1}))  # leading and trailing specials
+@example(row=[], special_ids=frozenset({0}))
+def test_word_spans_match_a_position_loop(row, special_ids):
+    row = np.asarray(row, dtype=np.int64)
+    assert word_spans(row, special_ids) == _word_spans_loop(row, special_ids)
+
+
+def test_default_policy_action_split(vocab):
+    # content tokens with a splitter at 40% of positions; every row has its own generator
+    rng = np.random.default_rng(0)
+    rows = rng.integers(len(SPECIAL_NAMES), vocab.size, size=(4000, 48))
+    rows[rng.random(rows.shape) < 0.4] = vocab.splitter_id
+    policy = MaskingPolicy()
+    batch = batch_of(rows)
+    original = batch.ids.copy()
+    out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng((21, r)) for r in range(len(rows))])
+    masked = out.loss_mask.astype(bool)
+    before, after = original[masked], out.ids[masked]
+    n = before.size
+    assert n > 15_000
+    content = vocab.size - len(SPECIAL_NAMES)
+    # a random replacement draws the original token with probability 1 / content
+    expected = {
+        "mask": policy.mask_prob,
+        "changed": policy.random_prob * (1 - 1 / content),
+        "unchanged": policy.keep_prob + policy.random_prob / content,
+    }
+    changed = (after != before) & (after != vocab.mask_id)
+    observed = {
+        "mask": np.mean(after == vocab.mask_id),
+        "changed": np.mean(changed),
+        "unchanged": np.mean(after == before),
+    }
+    for action, p in expected.items():
+        assert abs(observed[action] - p) <= 4 * np.sqrt(p * (1 - p) / n), (action, observed[action], p)
+    assert np.all((after[changed] >= len(SPECIAL_NAMES)) & (after[changed] < vocab.size))
+
+
 def test_exact_word_count_masked(vocab):
     # four single-token words, rate 0.5, unigrams, mask action only
     policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
@@ -108,8 +166,7 @@ def test_exact_word_count_masked(vocab):
     row = [base, vocab.splitter_id, base + 1, vocab.splitter_id, base + 2, vocab.splitter_id, base + 3]
     for seed in range(25):
         batch = batch_of([row])
-        spans = [word_spans(batch.ids[0], vocab.special_ids)]
-        out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, seed)
+        out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(seed)])
         assert int(out.loss_mask.sum()) == 2
         masked_positions = np.flatnonzero(out.loss_mask[0])
         assert all(out.ids[0, p] == vocab.mask_id for p in masked_positions)
@@ -124,7 +181,7 @@ def test_multi_token_words_never_split(vocab):
     for seed in range(25):
         batch = batch_of([row])
         spans = [word_spans(batch.ids[0], vocab.special_ids)]
-        out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, seed)
+        out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(seed)])
         covered = out.loss_mask[0]
         for lo, hi in spans[0]:
             inside = covered[lo:hi]
@@ -136,8 +193,7 @@ def test_specials_never_corrupted(vocab):
     row = [5, vocab.eod_id, 6, 7, vocab.pad_id, vocab.splitter_id, 8]
     for seed in range(10):
         batch = batch_of([row])
-        spans = [word_spans(batch.ids[0], vocab.special_ids)]
-        out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, seed)
+        out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(seed)])
         for pos in (1, 4, 5):
             assert out.ids[0, pos] == row[pos]
             assert out.loss_mask[0, pos] == 0.0
@@ -147,8 +203,7 @@ def test_degenerate_rate_masks_at_least_one_word(vocab):
     policy = MaskingPolicy(corruption_rate=0.01, ngram_max=1)
     row = [5, vocab.splitter_id, 6, vocab.splitter_id, 7]
     batch = batch_of([row])
-    spans = [word_spans(batch.ids[0], vocab.special_ids)]
-    out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, 0)
+    out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(0)])
     assert out.loss_mask.sum() >= 1
 
 
@@ -165,8 +220,7 @@ def test_mlm_targets_hold_original_ids(vocab):
     policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
     row = [5, vocab.splitter_id, 6, vocab.splitter_id, 7, vocab.splitter_id, 8]
     batch = batch_of([row])
-    spans = [word_spans(batch.ids[0], vocab.special_ids)]
-    out = apply_whole_word_ngram_mask(batch, policy, spans, vocab, 4)
+    out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(4)])
     assert out.targets.tolist() == [row]
 
 
@@ -178,7 +232,7 @@ def test_mlm_targets_hold_original_ids(vocab):
 def test_sop_label_semantics():
     swapped = unswapped = None
     for seed in range(50):
-        a, b, label = make_sop_example([1, 2], [3, 4], seed)
+        a, b, label = make_sop_example([1, 2], [3, 4], np.random.default_rng(seed))
         if label == 1:
             assert (a, b) == ([1, 2], [3, 4])
             unswapped = seed
@@ -189,13 +243,13 @@ def test_sop_label_semantics():
 
 
 def test_sop_swap_frequency():
-    swaps = sum(1 - make_sop_example([1], [2], seed)[2] for seed in range(10_000))
+    swaps = sum(1 - make_sop_example([1], [2], np.random.default_rng(seed))[2] for seed in range(10_000))
     assert 0.48 <= swaps / 10_000 <= 0.52
 
 
 def test_sop_rejects_empty_segment():
     with pytest.raises(DataError):
-        make_sop_example([], [1], 0)
+        make_sop_example([], [1], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

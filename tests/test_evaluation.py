@@ -115,6 +115,16 @@ def test_unreadable_tsv_is_input_error_naming_the_file(tmp_path):
             load_tsv_dataset(str(path), "train")
 
 
+def test_tsv_with_byte_order_mark_loads_the_same_dataset(tmp_path):
+    raw = "text_a\ttext_b\tlabel\nazur\tbleu\t1\ncedar dusk\t\t0\n".encode("utf-8")
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(raw)
+    marked.write_bytes(b"\xef\xbb\xbf" + raw)
+    expected = load_tsv_dataset(str(plain), "train")
+    assert load_tsv_dataset(str(marked), "train") == expected
+    assert [ex.text_a for ex in expected.examples] == ["azur", "cedar dusk"]
+
+
 _TSV_BYTES = "text_a\ttext_b\tlabel\nazur \u00e9t\u00e9\tbleu\t1\ncedar dusk\tember\t0\n\"quoted\ttext\"\tx\t1\n".encode("utf-8")
 
 
