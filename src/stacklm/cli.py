@@ -236,8 +236,7 @@ def cmd_pretrain(args) -> int:
         recompute_activations=args.recompute,
         seed=args.seed,
     )
-    params = build_model(cfg, seed=args.seed)
-    engine = TrainEngine(params, cfg, engine_cfg)
+    engine = TrainEngine(build_model(cfg, seed=args.seed), cfg, engine_cfg)
     # the first step rejects a model that no run can train, such as one whose
     # loss misses a parameter, before the run directory exists
     history = train_loop(engine, batch_fn, 1, n_shards=args.shards)
@@ -246,8 +245,7 @@ def cmd_pretrain(args) -> int:
     with open(run.file("metrics.jsonl"), "w", encoding="utf-8") as stream:
         write_metrics(stream, history[0])
         history += train_loop(engine, batch_fn, args.steps - 1, metrics_stream=stream, n_shards=args.shards)
-    save_checkpoint(run.file("model.npz"), params, cfg, extra={"steps": args.steps, "seed": args.seed})
-    save_engine_checkpoint(run.file("engine.npz"), engine)
+    save_engine_checkpoint(run.file("model.npz"), engine)
     first, last = history[0].loss, history[-1].loss
     print(f"pretrained {cfg.family} ({cfg.n_layers} layers, d={cfg.d_layer}) for {args.steps} steps")
     print(f"loss {first:.4f} -> {last:.4f}; artifacts in {run.path}")

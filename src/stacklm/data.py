@@ -249,8 +249,8 @@ def make_mlm_batch(
 
     Segments are the two contiguous halves of each packed sequence; they
     are swapped with probability one half before masking.  Segment markers
-    are 0 on the first ``seq_len // 2`` positions and 1 after them.  Pads
-    are special tokens, so masking alone decides the loss weights.
+    are 0 over a row's first segment and 1 over its second.  Pads are
+    special tokens, so masking alone decides the loss weights.
     """
     ids = packed[0]
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
@@ -260,10 +260,10 @@ def make_mlm_batch(
     out_ids = np.empty((batch_size, seq_len), dtype=np.int64)
     labels = np.empty(batch_size, dtype=np.int64)
     type_ids = np.zeros((batch_size, seq_len), dtype=np.int64)
-    type_ids[:, half:] = 1
     for j, (row, rng) in enumerate(zip(rows, rngs)):
         a, b, label = make_sop_example(ids[row, :half], ids[row, half:], rng)
         out_ids[j] = np.concatenate([a, b])
+        type_ids[j, len(a):] = 1
         labels[j] = label
     batch = PackedSequenceBatch(
         ids=out_ids,

@@ -43,7 +43,7 @@ a function patched into ``stacklm`` later does not reach it.
 Metrics are emitted one line-delimited JSON record per step.  An engine
 checkpoint is a model checkpoint that also carries the engine config, step
 counters, loss-scaler state and Adam moments, and restores bit-identical
-continuation.
+continuation; it is the one checkpoint a pretraining run writes.
 """
 
 from __future__ import annotations
@@ -251,7 +251,11 @@ class _ShardWorkers:
 
 
 class TrainEngine:
-    """Owns the parameters, optimizer state and step counter for one run."""
+    """Owns the parameters, optimizer state and step counter for one run.
+
+    Its shard workers end when a step fails or the engine is collected: an
+    engine held in a reference cycle keeps them until the cyclic collector runs.
+    """
 
     def __init__(self, params: ModelParams, model_cfg: ModelConfig, engine_cfg: EngineConfig):
         self.params = params
@@ -363,7 +367,7 @@ def save_engine_checkpoint(path: str, engine: TrainEngine) -> None:
         "optimizer_step": engine.optimizer.step,
         "scaler": asdict(engine.scaler),
     }
-    moments = {"adam_m": engine.optimizer.m, "adam_v": engine.optimizer.v}
+    moments = {"adam_m": engine.optimizer.m_flat, "adam_v": engine.optimizer.v_flat}
     save_checkpoint(path, engine.params, engine.model_cfg, extra, slots=moments)
 
 
@@ -378,9 +382,8 @@ def load_engine_checkpoint(path: str) -> TrainEngine:
         engine.scaler = LossScaler(**extra["scaler"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the engine from its record: {exc}") from None
-    for moments, saved in ((engine.optimizer.m, extra["adam_m"]), (engine.optimizer.v, extra["adam_v"])):
-        for name, array in saved.items():
-            moments[name][...] = array
+    engine.optimizer.m_flat[...] = extra["adam_m"]
+    engine.optimizer.v_flat[...] = extra["adam_v"]
     return engine
 
 

@@ -230,10 +230,8 @@ def finetune(
     the optimizer trajectory depend only on (dataset, settings).
     """
     _check_finetune_inputs(cfg, vocab, dataset, head)
-    dtype = params["tok_emb"].dtype
     params.reset({
-        name: (Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
-               if name.startswith("cls.") else params[name])
+        name: Tensor(np.zeros(shape, params.flat.dtype)) if name.startswith("cls.") else params[name]
         for name, shape, _ in parameter_inventory(cfg, len(dataset.label_vocab))
     })
 

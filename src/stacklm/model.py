@@ -210,9 +210,9 @@ def mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 class ModelParams:
-    """Named parameter tensors in inventory order, laid out in one flat buffer.
+    """Named parameter tensors in the order of ``shapes``, made at zero in one flat buffer.
 
-    ``flat`` holds every parameter in the parameters' one dtype, and every
+    ``flat`` holds every parameter in the one ``dtype``, and every
     tensor's ``data`` is its view of it.  ``table`` maps each name to its
     (offset, shape): the layout of the arena, which is ``flat`` plus the
     gradient and Adam moment buffers an optimizer state lays out the same
@@ -222,30 +222,7 @@ class ModelParams:
     updates without a copy.
     """
 
-    def __init__(self, tensors: dict[str, Tensor]):
-        self.reset(tensors)
-
-    def reset(self, tensors: dict[str, Tensor]) -> None:
-        """Hold exactly ``tensors``, their values copied into a new arena.
-
-        The tensors may be this object's own: the old arena is freed once
-        nothing holds a view of it.
-        """
-        dtypes = {t.dtype for t in tensors.values()}
-        if len(dtypes) > 1:
-            raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
-        self._lay_out({name: t.shape for name, t in tensors.items()}, dtypes.pop() if dtypes else np.float32)
-        for name, t in tensors.items():
-            self.tensors[name].data[...] = t.data
-
-    @classmethod
-    def zeros(cls, shapes: dict[str, tuple[int, ...]], dtype) -> "ModelParams":
-        """Every named parameter of ``shapes``, at zero."""
-        params = cls.__new__(cls)
-        params._lay_out(shapes, dtype)
-        return params
-
-    def _lay_out(self, shapes: dict[str, tuple[int, ...]], dtype) -> None:
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype):
         order = sorted(shapes, key=lambda name: not wants_weight_decay(name, shapes[name]))
         offsets, end, n_decayed = {}, 0, 0
         for name in order:
@@ -259,6 +236,19 @@ class ModelParams:
         self.tensors = {
             name: Tensor(view, requires_grad=True, name=name) for name, view in self.views(self.flat).items()
         }
+
+    def reset(self, tensors: dict[str, Tensor]) -> None:
+        """Hold exactly ``tensors``, their values copied into a new arena.
+
+        The tensors may be this object's own: the old arena is freed once
+        nothing holds a view of it.
+        """
+        dtypes = {t.dtype for t in tensors.values()}
+        if len(dtypes) > 1:
+            raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        self.__init__({name: t.shape for name, t in tensors.items()}, dtypes.pop() if dtypes else np.float32)
+        for name, t in tensors.items():
+            self.tensors[name].data[...] = t.data
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view of ``flat``, a buffer laid out like ``self.flat``."""
@@ -297,7 +287,7 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     rng = np.random.default_rng(seed)
     residual_scale = 1.0 / np.sqrt(2.0 * max(cfg.n_layers, 1))
     inventory = parameter_inventory(cfg)
-    params = ModelParams.zeros({name: shape for name, shape, _ in inventory}, dtype)
+    params = ModelParams({name: shape for name, shape, _ in inventory}, dtype)
     for name, shape, kind in inventory:
         data = params[name].data
         if kind == "normal":
@@ -534,12 +524,12 @@ def save_checkpoint(
     params: ModelParams,
     cfg: ModelConfig,
     extra: Optional[dict] = None,
-    slots: Optional[dict[str, dict[str, np.ndarray]]] = None,
+    slots: Optional[dict[str, np.ndarray]] = None,
 ) -> None:
     """Versioned checkpoint: named parameter arrays plus the config.
 
-    ``extra`` is stored as JSON; each entry of ``slots`` is a per-parameter
-    array family (e.g. optimizer moments) stored as ``<slot>:<name>``.
+    ``extra`` is stored as JSON; each buffer of ``slots``, laid out like
+    ``params.flat`` (e.g. an Adam moment), is stored as ``<slot>:<name>``.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -547,16 +537,17 @@ def save_checkpoint(
         "extra": extra or {},
     }
     arrays = {f"param:{name}": t.data for name, t in params.items()}
-    for slot, values in (slots or {}).items():
-        arrays.update({f"{slot}:{name}": a for name, a in values.items()})
+    for slot, flat in (slots or {}).items():
+        arrays.update({f"{slot}:{name}": a for name, a in params.views(flat).items()})
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
-def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]):
+    """Each ``<slot>:<name>`` array as (name, array), read one at a time and checked against ``expected``."""
     prefix = f"{slot}:"
-    arrays = {}
+    missing = set(expected)
     for key in archive.files:
         if not key.startswith(prefix):
             continue
@@ -566,20 +557,21 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]) -> dict
         arr = archive[key]
         if arr.shape != expected[name]:
             raise ConfigError(f"checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
-        arrays[name] = arr
-    missing = set(expected) - set(arrays)
+        missing.discard(name)
+        yield name, arr
     if missing:
         raise ConfigError(f"checkpoint is missing {slot} arrays: {sorted(missing)[:5]}")
-    return arrays
 
 
 def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams, ModelConfig, dict]:
     """Parameters, config and ``extra``; each requested slot is added to
-    ``extra`` as a name -> array dict, shape-checked against the parameters.
+    ``extra`` as one buffer laid out like the parameters' ``flat``.
 
     The parameters are exactly the config's inventory: the fine-tuned one,
     with as many classes as ``cls.w`` has columns, for an encoder whose
-    checkpoint carries ``cls.w``.
+    checkpoint carries ``cls.w``.  Each array is copied into its view of
+    the arena as it is read.  The arena takes the stored dtype if it is
+    float32 or float64, else float64; two dtypes are rejected.
     """
     # np.load(path) leaks its file when a damaged archive fails to open; a handle of ours closes on every path
     with open(path, "rb") as fh:
@@ -600,8 +592,17 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
         if cfg.family == "encoder-only" and "param:cls.w" in archive.files:
             n_classes = (archive["param:cls.w"].shape or (0,))[-1]
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg, n_classes)}
-        arrays = _read_slot(archive, "param", expected)
-        shapes = {name: arr.shape for name, arr in arrays.items()}
-        extra = dict(meta["extra"], **{slot: _read_slot(archive, slot, shapes) for slot in slots})
-    tensors = {name: Tensor(arr, requires_grad=True, name=name) for name, arr in arrays.items()}
-    return ModelParams(tensors), cfg, extra
+        params = None
+        for name, arr in _read_slot(archive, "param", expected):
+            dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
+            params = params or ModelParams(expected, dtype)
+            if dtype != params.flat.dtype:
+                raise ConfigError(f"parameters mix dtypes {sorted(map(str, (dtype, params.flat.dtype)))}")
+            params[name].data[...] = arr
+        extra = dict(meta["extra"])
+        for slot in slots:
+            extra[slot] = mapped_zeros(params.flat.shape, params.flat.dtype)
+            views = params.views(extra[slot])
+            for name, arr in _read_slot(archive, slot, expected):
+                views[name][...] = arr
+    return params, cfg, extra

@@ -13,6 +13,7 @@ import pytest
 
 from stacklm.cli import main
 import stacklm
+from stacklm.engine import load_engine_checkpoint
 from stacklm.evaluation import FinetuneSettings, finetune, load_tsv_dataset, make_synthetic_pair_task
 from stacklm.model import ModelConfig, build_model, save_checkpoint
 from stacklm import bpe
@@ -103,6 +104,9 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         bad_checkpoints.append(tmp_path / f"meta{i}.npz")
         record = np.frombuffer(json.dumps(bad_meta).encode("utf-8"), dtype=np.uint8)
         np.savez(str(bad_checkpoints[-1]), **{**arrays, "meta": record})
+    # parameter arrays of two dtypes
+    bad_checkpoints.append(tmp_path / "mixed.npz")
+    np.savez(str(bad_checkpoints[-1]), **{**arrays, "param:tok_emb": arrays["param:tok_emb"].astype(np.float64)})
     # a 2-layer checkpoint whose config was edited to 1 layer, and one with no classifier head to evaluate
     deeper = dataclasses.replace(cfg, n_layers=2)
     save_checkpoint(str(tmp_path / "deeper.npz"), build_model(deeper, seed=0), cfg)
@@ -296,8 +300,12 @@ def test_pretrain_artifacts(pretrain_run):
     metrics = [json.loads(line) for line in (pretrain_run / "metrics.jsonl").read_text().splitlines()]
     assert len(metrics) == 40
     assert metrics[0]["step"] == 0
-    assert (pretrain_run / "model.npz").exists()
-    assert (pretrain_run / "engine.npz").exists()
+    assert sorted(path.name for path in pretrain_run.iterdir()) == [
+        "manifest.json", "metrics.jsonl", "model.npz", "vocab.txt",
+    ]
+    engine = load_engine_checkpoint(str(pretrain_run / "model.npz"))
+    assert engine.step == 40
+    assert engine.optimizer.m_flat.any() and engine.optimizer.v_flat.any()
     manifest = json.loads((pretrain_run / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["options"]["resolved_model_config"]["n_layers"] == 2  # toy profile cap
@@ -320,7 +328,7 @@ def test_pretrain_on_shard_workers_records_runtime_and_reproduces_one_process(tm
     if platform.libc_ver()[0] == "glibc":
         assert runtime["malloc"] == {"M_MMAP_THRESHOLD": 32 * 2**20, "M_TRIM_THRESHOLD": 2**30}
     assert (runs[1] / "metrics.jsonl").read_bytes() == (runs[2] / "metrics.jsonl").read_bytes()
-    with np.load(runs[1] / "engine.npz") as one, np.load(runs[2] / "engine.npz") as two:
+    with np.load(runs[1] / "model.npz") as one, np.load(runs[2] / "model.npz") as two:
         assert one.files == two.files
         for name in one.files:
             assert np.array_equal(one[name], two[name]), name
@@ -362,16 +370,6 @@ def test_finetune_eval_round_trip(tmp_path, write_tsv):
     assert rc == 0
     assert (ft_out / "finetuned.npz").exists()
     assert json.loads((ft_out / "metrics.json").read_text())["accuracy"] >= 0.0
-
-    # the engine checkpoint is a model checkpoint: fine-tuning from it is identical
-    ft_engine_out = tmp_path / "ft-engine"
-    rc = main([
-        "finetune", "--checkpoint", str(pre_out / "engine.npz"), "--vocab", str(vocab_path),
-        "--train", str(train_tsv), "--dev", str(dev_tsv), "--steps", "4",
-        "--batch-size", "8", "--out", str(ft_engine_out),
-    ])
-    assert rc == 0
-    assert (ft_engine_out / "metrics.jsonl").read_text() == (ft_out / "metrics.jsonl").read_text()
 
     ev_out = tmp_path / "ev"
     rc = main([

@@ -388,6 +388,15 @@ def test_mlm_batch_has_all_fields(vocab):
     assert np.array_equal(batch.labels, again.labels)
 
 
+def test_mlm_segment_markers_follow_the_swap_at_odd_length(vocab):
+    ids = np.arange(16 * 7).reshape(16, 7) % 50 + 10
+    batch = make_mlm_batch((ids, np.ones(ids.shape)), 0, 16, MaskingPolicy(), vocab, seed=0)
+    assert set(batch.labels) == {0, 1}
+    for row, label in zip(batch.type_ids, batch.labels):
+        first = 3 if label == 1 else 4  # an original row starts with the 3 tokens of seq_len // 2
+        assert row.tolist() == [0] * first + [1] * (7 - first), (row, label)
+
+
 def test_seq2seq_batch_alignment():
     packed = packed_fixture()
     batch = make_seq2seq_batch(packed, 0, 2, eod_id=EOD)

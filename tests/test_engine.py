@@ -17,7 +17,7 @@ from stacklm.engine import (
 )
 from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
 from stacklm.optim import TrainSchedule
-from stacklm.tensor import DropoutRng, ShapeError, Tape, Tensor
+from stacklm.tensor import DropoutRng, ShapeError, Tape
 from test_model import with_classifier
 
 
@@ -267,7 +267,9 @@ def shadow_runs(family, seed):
     cfg = ModelConfig(family, 2, d_layer=32, n_heads=2, d_head=16, vocab_size=31, max_seq_len=32, dropout_p=0.1)
     params32 = build_model(cfg, seed=seed)
     init = {name: t.data.astype(np.float64) for name, t in params32.items()}
-    params64 = ModelParams({name: Tensor(data.copy(), requires_grad=True, name=name) for name, data in init.items()})
+    params64 = ModelParams({name: data.shape for name, data in init.items()}, np.float64)
+    for name, data in init.items():
+        params64[name].data[...] = data
     schedule = TrainSchedule(1e-3, 0.0, warmup_steps=2, total_steps=SHADOW_STEPS)
     batch_fn = family_batches(family, seq_len=32)
     runs = []

@@ -27,7 +27,7 @@ from stacklm.model import (
     parameter_inventory,
     save_checkpoint,
 )
-from stacklm.tensor import DropoutRng, Tape, Tensor
+from stacklm.tensor import DropoutRng, Tape
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -185,11 +185,10 @@ def test_encoder_only_outputs_auxiliary_heads():
 def with_classifier(params, cfg, n_classes, seed=1):
     """The fine-tuned inventory of ``n_classes``: the body of ``params`` plus a random ``cls.*``."""
     rng = np.random.default_rng(seed)
-    return ModelParams({
-        name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True, name=name)
-        if name.startswith("cls.") else params[name]
-        for name, shape, _ in parameter_inventory(cfg, n_classes)
-    })
+    tuned = ModelParams({name: shape for name, shape, _ in parameter_inventory(cfg, n_classes)}, np.float32)
+    for name, t in tuned.items():
+        t.data[...] = rng.normal(size=t.shape) if name.startswith("cls.") else params[name].data
+    return tuned
 
 
 def test_classifier_head_is_the_only_output_head():
@@ -479,6 +478,52 @@ def test_checkpoint_loads_exactly_the_expected_parameters(tmp_path):
         np.savez(str(bad), **edited)
         with pytest.raises(ConfigError, match=name):
             load_checkpoint(str(bad))
+
+
+def test_checkpoint_dtype_rules(tmp_path):
+    cfg = tiny("encoder-only")
+    params = build_model(cfg, seed=5, dtype=np.float64)
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), params, cfg)
+    loaded, _, _ = load_checkpoint(str(path))
+    assert loaded.flat.dtype == np.float64
+    for name, t in params.items():
+        assert loaded[name].dtype == np.float64 and np.array_equal(loaded[name].data, t.data), name
+
+    with np.load(str(path)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    bad = tmp_path / "bad.npz"
+    np.savez(str(bad), **{**arrays, "param:pooler.w": arrays["param:pooler.w"].astype(np.float32)})
+    with pytest.raises(ConfigError, match=re.escape("parameters mix dtypes ['float32', 'float64']")):
+        load_checkpoint(str(bad))
+    # the loader casts as Tensor does: any dtype but float32 and float64 becomes float64
+    np.savez(str(bad), **{key: a.astype(np.float16) if key.startswith("param:") else a for key, a in arrays.items()})
+    loaded, _, _ = load_checkpoint(str(bad))
+    assert loaded.flat.dtype == np.float64
+    for name, t in params.items():
+        assert loaded[name].dtype == np.float64, name
+        assert np.array_equal(loaded[name].data, t.data.astype(np.float16).astype(np.float64)), name
+
+
+def test_loading_holds_less_than_one_copy_of_the_parameters_on_the_heap(tmp_path):
+    import tracemalloc
+
+    cfg = ModelConfig("encoder-only", 8, d_layer=64, n_heads=4, d_head=16, vocab_size=200, max_seq_len=64)
+    params = build_model(cfg, seed=0)
+    largest = max(t.data.nbytes for _, t in params.items())
+    assert largest < params.flat.nbytes / 10
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(path, params, cfg)
+    # the arena is an anonymous mapping, which tracemalloc does not count: the
+    # peak is what loading holds beside it
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.flat, params.flat)
+    assert peak < params.flat.nbytes / 2, (peak, params.flat.nbytes)
 
 
 def _checkpoint_with_meta(path, meta: bytes) -> None:

@@ -261,9 +261,8 @@ def test_adam_lr_zero_is_identity_on_parameters():
 def test_adam_single_step_hand_oracle():
     # p = 0, g = 1: first-step bias-corrected ratio is 1, so p -> -lr
     from stacklm.model import ModelParams
-    from stacklm.tensor import Tensor
 
-    params = ModelParams({"w": Tensor(np.zeros((1, 1)), requires_grad=True)})
+    params = ModelParams({"w": (1, 1)}, np.float64)
     state = OptimizerState(params)
     adam_with(params, state, {"w": np.ones((1, 1))}, lr=1e-3)
     assert params["w"].data[0, 0] == pytest.approx(-1e-3, rel=1e-6)
@@ -271,9 +270,9 @@ def test_adam_single_step_hand_oracle():
 
 def test_decoupled_weight_decay_factor():
     from stacklm.model import ModelParams
-    from stacklm.tensor import Tensor
 
-    params = ModelParams({"w": Tensor(np.full((1, 2), 2.0), requires_grad=True)})
+    params = ModelParams({"w": (1, 2)}, np.float64)
+    params["w"].data.fill(2.0)
     state = OptimizerState(params)
     for _ in range(3):
         adam_with(params, state, {"w": np.zeros((1, 2))}, lr=0.5)
@@ -348,12 +347,13 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
 
 def test_arena_copies_its_tensors_in_and_keeps_one_dtype():
     data = np.ones((2, 3), dtype=np.float32)
-    params = ModelParams({"w": Tensor(data), "b": Tensor(np.zeros(3, dtype=np.float32))})
+    params = ModelParams({}, np.float32)
+    params.reset({"w": Tensor(data), "b": Tensor(np.zeros(3, dtype=np.float32))})
     assert not np.shares_memory(params["w"].data, data)
     params["w"].data += 1.0
     assert np.all(data == 1.0)
     with pytest.raises(ConfigError, match="parameters mix dtypes"):
-        ModelParams({"w": Tensor(data), "b": Tensor(np.zeros(3))})
+        params.reset({"w": Tensor(data), "b": Tensor(np.zeros(3))})
 
 
 def test_decay_set_excludes_vectors_and_embeddings():
