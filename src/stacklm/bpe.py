@@ -108,6 +108,8 @@ class TokenizerVocab:
         self.id_to_token: list[bytes | None] = [None] * len(SPECIAL_NAMES)
         self.token_to_id: dict[bytes, int] = {}
         for sym in self.alphabet:
+            if sym in self.token_to_id:
+                raise TokenizerError(f"base symbol {sym!r} is listed twice")
             self.token_to_id[sym] = len(self.id_to_token)
             self.id_to_token.append(sym)
         self.merge_ranks: dict[tuple[bytes, bytes], int] = {}

@@ -88,8 +88,8 @@ class CostRecord:
     def __post_init__(self):
         if self.wall_hours < 0 or self.steps < 0 or self.gpus < 0:
             raise CostError("cost record fields must be non-negative")
-        if self.peak_rate <= 0:
-            raise CostError("peak_rate must be positive")
+        if not (math.isfinite(self.peak_rate) and self.peak_rate > 0):
+            raise CostError(f"peak_rate must be finite and positive, got {self.peak_rate}")
 
 
 def eflops(record: CostRecord) -> float:

@@ -372,18 +372,27 @@ def save_engine_checkpoint(path: str, engine: TrainEngine) -> None:
 
 
 def load_engine_checkpoint(path: str) -> TrainEngine:
+    """The engine an engine checkpoint saved, ready to continue bit-identically.
+
+    The moment buffers ``load_checkpoint`` fills become the optimizer's
+    ``m_flat`` and ``v_flat``, so the restore holds the parameters and each
+    moment once.  The record must hold the engine config, non-negative int
+    counters with ``optimizer_step <= step``, and a scaler with a finite
+    positive scale; any other record is a ``ConfigError`` naming ``path``.
+    """
     params, model_cfg, extra = load_checkpoint(path, slots=("adam_m", "adam_v"))
     try:
         saved = extra["engine"]
         engine_cfg = EngineConfig(**{**saved, "schedule": TrainSchedule(**saved["schedule"])})
+        step, optimizer_step = extra["step"], extra["optimizer_step"]
+        if not (type(step) is int and type(optimizer_step) is int and 0 <= optimizer_step <= step):
+            raise ValueError(f"need ints 0 <= optimizer_step <= step, got {optimizer_step!r} and {step!r}")
         engine = TrainEngine(params, model_cfg, engine_cfg)
-        engine.step = extra["step"]
-        engine.optimizer.step = extra["optimizer_step"]
+        engine.step, engine.optimizer.step = step, optimizer_step
         engine.scaler = LossScaler(**extra["scaler"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot rebuild the engine from its record: {exc}") from None
-    engine.optimizer.m_flat[...] = extra["adam_m"]
-    engine.optimizer.v_flat[...] = extra["adam_v"]
+    engine.optimizer.m_flat, engine.optimizer.v_flat = extra["adam_m"], extra["adam_v"]
     return engine
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -167,8 +168,8 @@ class FinetuneSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise InputError(f"fine-tune learning rate must be non-negative, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InputError(f"fine-tune learning rate must be finite and non-negative, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InputError(f"batch size must be at least 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 0:

@@ -45,6 +45,8 @@ class TrainSchedule:
     decay_shape: str = "cosine"
 
     def __post_init__(self):
+        if not (math.isfinite(self.peak_lr) and math.isfinite(self.min_lr)):
+            raise ScheduleError(f"peak_lr and min_lr must be finite, got {self.peak_lr} and {self.min_lr}")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ScheduleError(
                 f"warmup_steps must lie in [0, total_steps], got {self.warmup_steps} of {self.total_steps}"
@@ -120,17 +122,15 @@ class OptimizerState:
 
     ``grad_flat``, ``m_flat`` and ``v_flat`` are laid out like
     ``params.flat``, so each weight-decay segment is one slice of all four;
-    ``grads``, ``m`` and ``v`` map each parameter to its view of them.  They
-    live as long as the state, not the model: a trained model keeps only
-    its parameters.
+    ``grads`` maps each parameter to its view of the gradients.  Each is a
+    mapping of its own: a restore that adopts stored moments frees the zero
+    ones.  They live as long as the state, not the model.
     """
 
     def __init__(self, params: ModelParams):
         self.step = 0
-        self.grad_flat, self.m_flat, self.v_flat = mapped_zeros((3, params.flat.size), params.flat.dtype)
+        self.grad_flat, self.m_flat, self.v_flat = (mapped_zeros(params.flat.shape, params.flat.dtype) for _ in range(3))
         self.grads = params.views(self.grad_flat)
-        self.m = params.views(self.m_flat)
-        self.v = params.views(self.v_flat)
 
 
 def adam_step(params: ModelParams, state: OptimizerState, lr: float) -> None:
@@ -187,8 +187,8 @@ class LossScaler:
     consecutive_good_steps: int = 0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"loss scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"loss scale must be finite and positive, got {self.scale}")
 
 
 def loss_scaler_step(scaler: LossScaler, finite: bool) -> None:

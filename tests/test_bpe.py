@@ -43,6 +43,21 @@ def test_empty_corpus_rejected():
         train_bpe("", 100)
 
 
+def test_repeated_base_symbol_rejected(tmp_path):
+    vocab = train_bpe("ab ab ba ba", BASE + 4 + 1)
+    with pytest.raises(TokenizerError, match="listed twice"):
+        TokenizerVocab(vocab.alphabet + vocab.alphabet[:1], vocab.merges)
+    # a saved file with one base symbol repeated would shift every later id by one
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"alphabet {len(vocab.alphabet)}")
+    lines[start : start + 2] = [f"alphabet {len(vocab.alphabet) + 1}", lines[start + 1], lines[start + 1]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TokenizerError, match="listed twice"):
+        load_vocab(str(path))
+
+
 def test_training_stops_when_no_pair_repeats():
     vocab = train_bpe("ab cd", 1000)
     assert vocab.size < 1000

@@ -185,6 +185,10 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
          "--positive-label", "a"): "precision, recall and F1 are binary-only",
         ("pretrain", "--config", str(CONFIGS / "cpm-x-s.cfg"), "--corpus", str(tmp_path / "latin1.txt"), "--toy",
          "--steps", "1"): str(tmp_path / "latin1.txt"),
+        # rates that are not finite
+        **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--lr", rate):
+           "learning rate must be finite" for rate in ("inf", "nan")},
+        **{("cost", "--peak-rate", rate): "peak_rate must be finite" for rate in ("nan", "inf")},
     }
     cases += [list(argv) for argv in named]
     for bad in ("long.tsv", "latin1.tsv"):

@@ -149,6 +149,14 @@ def test_malformed_cost_table_names_file_row_and_column(tmp_path):
             load_cost_records(str(path))
 
 
+def test_peak_rate_must_be_finite_and_positive():
+    for rate in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(CostError, match="peak_rate must be finite and positive"):
+            CostRecord("m", 1, 10, 1, peak_rate=rate)
+        with pytest.raises(CostError, match="peak_rate must be finite and positive"):
+            load_cost_records(peak_rate=rate)
+
+
 def test_load_cost_records_from_file(tmp_path):
     path = tmp_path / "costs.csv"
     path.write_text("model,time,steps,gpus,reported_eflops\nX,2h30m,10K,4,\n", encoding="utf-8")

@@ -1,5 +1,11 @@
 import io
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,9 +398,10 @@ def test_skipped_step_on_overflow_keeps_parameters():
         # the observed non-finite norm is reported, inf for an inf gradient
         assert not np.isfinite(metrics.grad_norm) and np.isnan(metrics.grad_norm) == np.isnan(bad)
         assert engine.optimizer.step == 0
+        m, v = params.views(engine.optimizer.m_flat), params.views(engine.optimizer.v_flat)
         for n, t in params.items():
             assert np.array_equal(t.data, before[n])
-            assert not engine.optimizer.m[n].any() and not engine.optimizer.v[n].any(), n
+            assert not m[n].any() and not v[n].any(), n
 
 
 def test_nonfinite_gradient_skips_step_without_loss_scaler():
@@ -406,9 +413,10 @@ def test_nonfinite_gradient_skips_step_without_loss_scaler():
         metrics = update_from(engine, grads, 1.0)
         assert metrics.skipped and not np.isfinite(metrics.grad_norm)
         assert engine.optimizer.step == 0 and engine.step == 1
+        m, v = params.views(engine.optimizer.m_flat), params.views(engine.optimizer.v_flat)
         for n, t in params.items():
             assert np.array_equal(t.data, before[n]), n
-            assert not engine.optimizer.m[n].any() and not engine.optimizer.v[n].any(), n
+            assert not m[n].any() and not v[n].any(), n
         assert engine.scaler.scale == 1.0
         # the run carries on: the next finite step updates as usual
         metrics = engine.data_parallel_step(lm_batches()(engine.step), 1)
@@ -439,8 +447,9 @@ def test_checkpoint_restores_bit_identical_continuation(tmp_path):
     assert [m.loss for m in cont] == [m.loss for m in replay]
     for name, t in engine.params.items():
         assert np.array_equal(t.data, restored.params[name].data), name
-    for name in engine.optimizer.m:
-        assert np.array_equal(engine.optimizer.m[name], restored.optimizer.m[name])
+    engine_m, restored_m = (e.params.views(e.optimizer.m_flat) for e in (engine, restored))
+    for name in engine_m:
+        assert np.array_equal(engine_m[name], restored_m[name])
 
 
 def test_checkpoint_restores_moments_into_the_arena(tmp_path):
@@ -448,12 +457,45 @@ def test_checkpoint_restores_moments_into_the_arena(tmp_path):
     train_loop(engine, lm_batches(seed=3), n_steps=3)
     path = str(tmp_path / "engine.npz")
     save_engine_checkpoint(path, engine)
-    restored = load_engine_checkpoint(path).optimizer
-    for flat, views, saved in ((restored.m_flat, restored.m, engine.optimizer.m),
-                               (restored.v_flat, restored.v, engine.optimizer.v)):
+    restored = load_engine_checkpoint(path)
+    for slot in ("m_flat", "v_flat"):
+        flat, saved = getattr(restored.optimizer, slot), engine.params.views(getattr(engine.optimizer, slot))
         assert flat.any()
-        for name, view in views.items():
+        for name, view in restored.params.views(flat).items():
             assert np.shares_memory(view, flat) and np.array_equal(view, saved[name]), name
+
+
+RESTORE_PEAK = """
+import sys
+from stacklm.engine import load_engine_checkpoint
+
+def kib(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+before = kib("VmRSS")
+engine = load_engine_checkpoint(sys.argv[1])
+print((kib("VmHWM") - before) * 1024, engine.params.flat.nbytes)
+"""
+
+
+def test_restore_holds_the_parameters_and_each_moment_once(tmp_path):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for VmRSS and VmHWM")
+    # about 40 MB of float32 parameters, the largest tensor a tenth of them
+    cfg = ModelConfig("decoder-only", 3, d_layer=512, n_heads=8, d_head=64, vocab_size=1000, max_seq_len=64)
+    engine = TrainEngine(build_model(cfg, seed=0), cfg, EngineConfig(TrainSchedule(1e-3, 0.0, 0, 10)))
+    engine.optimizer.m_flat.fill(1.0)
+    engine.optimizer.v_flat.fill(2.0)
+    path = str(tmp_path / "engine.npz")
+    save_engine_checkpoint(path, engine)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", RESTORE_PEAK, path], capture_output=True, text=True, env=env,
+                          check=True)
+    rise, arena = map(int, proc.stdout.split())
+    assert arena == engine.params.flat.nbytes > 35e6
+    # the arena and the two moments, about three arenas; copying the moments into fresh buffers reads about five
+    assert rise < 4 * arena, (rise / arena, arena)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -498,8 +540,9 @@ def test_engine_checkpoint_round_trips_non_default_config(tmp_path):
         assert restored.scaler == engine.scaler
         if use_scaler:
             assert restored.scaler.consecutive_good_steps == 3
+        restored_v, engine_v = (e.params.views(e.optimizer.v_flat) for e in (restored, engine))
         for name in engine.params.names():
-            assert np.array_equal(restored.optimizer.v[name], engine.optimizer.v[name]), name
+            assert np.array_equal(restored_v[name], engine_v[name]), name
 
 
 def test_engine_checkpoint_is_a_model_checkpoint(tmp_path):
@@ -542,13 +585,23 @@ def test_engine_checkpoint_rejects_seed_format_and_wrong_shapes(tmp_path):
     no_record = {key: value for key, value in meta["extra"].items() if key != "engine"}
     # an engine without loss scaling once recorded no scaler at all
     null_scaler = dict(meta["extra"], engine=dict(meta["extra"]["engine"], use_loss_scaler=False), scaler=None)
+    # counters that are not non-negative ints with optimizer_step <= step, and a scale that is not finite
+    counters = [{"step": "x"}, {"step": -3}, {"step": 1.5}, {"optimizer_step": True},
+                {"step": 2, "optimizer_step": 3}, {"step": 2, "optimizer_step": -1}]
+    scales = [dict(meta["extra"]["scaler"], scale=scale) for scale in (math.nan, math.inf)]
+    saved_cfg = meta["extra"]["engine"]
+    infinite_rate = dict(saved_cfg, schedule=dict(saved_cfg["schedule"], peak_lr=math.inf))
     for name, extra in (
         ("stale", dict(meta["extra"], engine=stale)), ("no-record", no_record), ("null-scaler", null_scaler),
+        *((f"counters{i}", dict(meta["extra"], **edit)) for i, edit in enumerate(counters)),
+        *((f"scale{i}", dict(meta["extra"], scaler=scaler)) for i, scaler in enumerate(scales)),
+        ("infinite-rate", dict(meta["extra"], engine=infinite_rate)),
     ):
         edited = dict(arrays, meta=np.frombuffer(json.dumps(dict(meta, extra=extra)).encode("utf-8"), dtype=np.uint8))
-        np.savez(str(tmp_path / f"{name}.npz"), **edited)
-        with pytest.raises(ConfigError):
-            load_engine_checkpoint(str(tmp_path / f"{name}.npz"))
+        edited_path = str(tmp_path / f"{name}.npz")
+        np.savez(edited_path, **edited)
+        with pytest.raises(ConfigError, match="^" + re.escape(edited_path)):
+            load_engine_checkpoint(edited_path)
 
     bad = dict(arrays)
     bad["param:tok_emb"] = arrays["param:tok_emb"][:-1]

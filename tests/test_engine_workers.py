@@ -48,8 +48,9 @@ def run_digest(family, n_shards, batch_size, recompute, expect_workers):
     digest = hashlib.sha256()
     for metrics in history:
         digest.update(metrics.to_json().encode())
+    m, v = params.views(engine.optimizer.m_flat), params.views(engine.optimizer.v_flat)
     for name, t in params.items():
-        for array in (t.data, engine.optimizer.m[name], engine.optimizer.v[name]):
+        for array in (t.data, m[name], v[name]):
             digest.update(array.tobytes())
     return digest.hexdigest()
 

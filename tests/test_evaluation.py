@@ -188,7 +188,8 @@ def test_finetune_holds_exactly_the_body_and_classifier(vocab, monkeypatch):
     (engine,) = engines
     assert model.params is params  # the body is trained in place: one copy of it, never two
     names = [name for name, _, _ in parameter_inventory(cfg, 2)]
-    assert model.params.names() == list(engine.optimizer.m) == list(engine.optimizer.v) == names
+    m, v = params.views(engine.optimizer.m_flat), params.views(engine.optimizer.v_flat)
+    assert model.params.names() == list(m) == list(v) == names
     assert not [name for name in names if name.startswith(("mlm.", "sop."))]
     for name in ("pooler.w", "block0.mlp.w_fc", "tok_emb"):
         assert not np.array_equal(model.params[name].data, before[name]), name
@@ -200,6 +201,13 @@ def test_negative_finetune_budget_rejected(field, named):
     with pytest.raises(InputError, match=f"{named} must be non-negative, got -1$"):
         FinetuneSettings(**{field: -1})
     assert getattr(FinetuneSettings(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), float("-inf"), -1e-3])
+def test_finetune_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(InputError, match="learning rate must be finite and non-negative"):
+        FinetuneSettings(learning_rate=rate, max_steps=3)
+    assert FinetuneSettings(learning_rate=0.0).learning_rate == 0.0
 
 
 def test_finetune_epochs_read_one_shuffled_stream(vocab, monkeypatch):

@@ -60,6 +60,9 @@ def test_schedule_validation():
         TrainSchedule(1e-4, 2e-4, warmup_steps=0, total_steps=5)
     with pytest.raises(ScheduleError):
         TrainSchedule(1e-4, 0, 0, 5, decay_shape="staircase")
+    for peak, low in ((math.inf, 0.0), (math.nan, 0.0), (1e-4, math.nan), (math.inf, math.inf), (1e-4, -math.inf)):
+        with pytest.raises(ScheduleError, match="must be finite"):
+            TrainSchedule(peak, low, 0, 5)
     with pytest.raises(ScheduleError):
         lr_at(GPT_PRETRAIN_SCHEDULE, -1)
 
@@ -308,6 +311,7 @@ def test_arena_adam_is_bit_identical_to_per_tensor_adam(dtype):
     ref_state = SimpleNamespace(step=0, m={name: np.zeros(t.shape, dtype) for name, t in arena.items()},
                                 v={name: np.zeros(t.shape, dtype) for name, t in arena.items()})
     state = OptimizerState(arena)
+    m, v = arena.views(state.m_flat), arena.views(state.v_flat)
     rng = np.random.default_rng(0)
     for lr in (1e-3, 0.0, 3e-2, 1e-3):
         grads = {name: (rng.standard_normal(t.shape) * 1e-2).astype(dtype) for name, t in arena.items()}
@@ -315,8 +319,8 @@ def test_arena_adam_is_bit_identical_to_per_tensor_adam(dtype):
         adam_with(arena, state, grads, lr)
         for name, t in arena.items():
             assert t.data.dtype == dtype
-            for got, want in ((t.data, ref_params[name].data), (state.m[name], ref_state.m[name]),
-                              (state.v[name], ref_state.v[name])):
+            for got, want in ((t.data, ref_params[name].data), (m[name], ref_state.m[name]),
+                              (v[name], ref_state.v[name])):
                 assert got.tobytes() == want.tobytes(), (name, lr)
 
 
@@ -331,6 +335,7 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
     params = build_model(cfg, seed=1, dtype=dtype)
     state = OptimizerState(params)
     flats = (params.flat, state.grad_flat, state.m_flat, state.v_flat)
+    m, v = params.views(state.m_flat), params.views(state.v_flat)
     assert all(flat.dtype == dtype and flat.shape == (params.element_count(),) for flat in flats)
     decayed, undecayed = params.segments["decayed"], params.segments["undecayed"]
     assert (decayed.start, decayed.stop, undecayed.stop) == (0, undecayed.start, params.flat.size)
@@ -339,7 +344,7 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
         span = slice(offset, offset + t.size)
         inside = decayed if wants_weight_decay(name, shape) else undecayed
         assert inside.start <= span.start and span.stop <= inside.stop, name
-        for flat, view in zip(flats, (t.data, state.grads[name], state.m[name], state.v[name])):
+        for flat, view in zip(flats, (t.data, state.grads[name], m[name], v[name])):
             assert view.shape == shape == t.shape and view.dtype == dtype
             assert view.base is not None and np.shares_memory(view, flat[span]), name
             assert view.__array_interface__["data"][0] == flat[span].__array_interface__["data"][0], name
@@ -394,6 +399,12 @@ def test_three_overflows_from_65536():
     for _ in range(3):
         loss_scaler_step(scaler, False)
     assert scaler.scale == 8192.0
+
+
+def test_loss_scaler_rejects_a_scale_that_is_not_finite_and_positive():
+    for scale in (math.nan, math.inf, 0.0, -2.0):
+        with pytest.raises(ValueError, match="loss scale must be finite and positive"):
+            LossScaler(scale=scale)
 
 
 def test_scaler_state_machine_exhaustive():
