@@ -344,4 +344,7 @@ def load_vocab(path: str) -> TokenizerVocab:
         sentinels[name] = sentinel
     if sorted(sentinels) != sorted(SPECIAL_NAMES):
         raise TokenizerError(f"{path}: specials must be {', '.join(SPECIAL_NAMES)}, found {', '.join(sentinels)}")
-    return TokenizerVocab(alphabet, merges, sentinels)
+    try:
+        return TokenizerVocab(alphabet, merges, sentinels)
+    except TokenizerError as exc:
+        raise TokenizerError(f"{path}: {exc}") from None

@@ -3,7 +3,10 @@
 A step runs one training forward (optionally discarding per-layer
 activations and recomputing them during backward), takes the loss that
 ``objectives.loss`` chooses, for pretraining and fine-tuning alike, and
-backpropagates it with the loss scale as the seed gradient.  One number
+backpropagates it with the loss scale as the seed gradient.  An
+encoder-only pretraining step runs the masked-LM head only at the masked
+positions (``objectives.scored_positions``), the only ones its loss
+weighs.  One number
 then decides the update: the global L2 norm of the summed, still scaled
 gradients, divided by the loss scale.
 A non-finite norm skips the step and backs the scaler off; otherwise one
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import weakref
 from dataclasses import asdict, dataclass
@@ -86,6 +90,14 @@ class EngineConfig:
     use_loss_scaler: bool = True
     recompute_activations: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        if type(self.use_loss_scaler) is not bool or type(self.recompute_activations) is not bool:
+            raise ValueError(
+                f"use_loss_scaler and recompute_activations must be bools, "
+                f"got {self.use_loss_scaler!r} and {self.recompute_activations!r}"
+            )
+        operator.index(self.seed)  # the dropout stream folds an integer seed; a float or string is a TypeError
 
 
 @dataclass
@@ -148,6 +160,7 @@ def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, 
                 recompute=cfg.recompute_activations,
                 type_ids=shard.type_ids, attention_mask=shard.attention_mask,
                 source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
+                positions=objectives.scored_positions(model_cfg.family, shard),
             )
             loss = objectives.loss(out, shard, batch)
             del out  # leave the outputs to the tape, which frees them as backward consumes it
@@ -376,9 +389,11 @@ def load_engine_checkpoint(path: str) -> TrainEngine:
 
     The moment buffers ``load_checkpoint`` fills become the optimizer's
     ``m_flat`` and ``v_flat``, so the restore holds the parameters and each
-    moment once.  The record must hold the engine config, non-negative int
-    counters with ``optimizer_step <= step``, and a scaler with a finite
-    positive scale; any other record is a ``ConfigError`` naming ``path``.
+    moment once.  The record must hold an engine config that
+    ``EngineConfig`` accepts (bool flags, an integer seed), non-negative
+    int counters with ``optimizer_step <= step``, and a scaler that
+    ``LossScaler`` accepts; any other record is a ``ConfigError`` naming
+    ``path``.
     """
     params, model_cfg, extra = load_checkpoint(path, slots=("adam_m", "adam_v"))
     try:

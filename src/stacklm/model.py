@@ -306,9 +306,17 @@ def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 
 @dataclass
 class ModelOutput:
+    """The head outputs of one forward pass.
+
+    ``positions`` are the flat indices into ``batch * seq`` that the
+    vocabulary ``logits`` score, one row each; None means every position,
+    and then ``logits`` keep the batch's (batch, seq, V) shape.
+    """
+
     logits: Tensor
     sop_logits: Optional[Tensor] = None
     pooled: Optional[Tensor] = None
+    positions: Optional[np.ndarray] = None
 
 
 def _causal_mask(t: int, dtype) -> np.ndarray:
@@ -404,6 +412,7 @@ def forward(
     source_attention_mask: Optional[np.ndarray] = None,
     rng: Optional[DropoutRng] = None,
     recompute: bool = False,
+    positions: Optional[np.ndarray] = None,
 ) -> ModelOutput:
     """Run the stack for one batch of token ids.
 
@@ -418,9 +427,16 @@ def forward(
     ``logits`` are over the vocabulary, except for a fine-tuned encoder
     (``params`` carry ``cls.w``): then they are the (batch, n_classes)
     classifier logits over ``pooled``, and ``sop_logits`` is None.
+    ``positions``, flat indices into ``batch * seq``, gathers those rows of
+    the final hidden states before the vocabulary head, so the head (the
+    encoder's masked-token transform, its layer norm, the projection and
+    the bias) runs on ``len(positions)`` rows and ``logits`` are
+    (len(positions), V).  None scores every position.
     """
     if mode not in ("train", "eval"):
         raise InputError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if positions is not None and "cls.w" in params:
+        raise InputError("a fine-tuned encoder has no vocabulary head to score positions with")
     if cfg.family == "encoder-decoder" and source_ids is None:
         raise InputError("encoder-decoder forward needs source_ids")
     squeeze = np.ndim(ids) == 1
@@ -456,7 +472,12 @@ def forward(
 
     sop_logits = pooled = None
     if "cls.w" not in params:
-        h = _norm(T.gelu(_linear(x, params, "mlm", "_transform")), params, "mlm.ln") if cfg.family == "encoder-only" else x
+        h = x
+        if positions is not None:
+            b, t, d = x.shape
+            h = T.embedding_lookup(T.reshape(x, (b * t, d)), positions)
+        if cfg.family == "encoder-only":
+            h = _norm(T.gelu(_linear(h, params, "mlm", "_transform")), params, "mlm.ln")
         logits = T.matmul(h, T.transpose(params["tok_emb"], (1, 0)))
         if cfg.family == "encoder-only":
             logits = T.add(logits, params["mlm.bias"])
@@ -466,9 +487,9 @@ def forward(
             logits = _linear(pooled, params, "cls")
         else:
             sop_logits = _linear(pooled, params, "sop")
-    if squeeze:
+    if squeeze and positions is None:
         logits = T.reshape(logits, logits.shape[1:])
-    return ModelOutput(logits, sop_logits, pooled)
+    return ModelOutput(logits, sop_logits, pooled, positions)
 
 
 # ---------------------------------------------------------------------------

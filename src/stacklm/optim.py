@@ -187,8 +187,14 @@ class LossScaler:
     consecutive_good_steps: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"loss scale must be finite and positive, got {self.scale}")
+        for name, value in (("loss scale", self.scale), ("growth_factor", self.growth_factor),
+                            ("backoff_factor", self.backoff_factor)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (type(self.growth_interval) is int and self.growth_interval > 0):
+            raise ValueError(f"growth_interval must be a positive int, got {self.growth_interval!r}")
+        if not (type(self.consecutive_good_steps) is int and self.consecutive_good_steps >= 0):
+            raise ValueError(f"consecutive_good_steps must be a non-negative int, got {self.consecutive_good_steps!r}")
 
 
 def loss_scaler_step(scaler: LossScaler, finite: bool) -> None:

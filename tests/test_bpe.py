@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -54,7 +55,7 @@ def test_repeated_base_symbol_rejected(tmp_path):
     start = lines.index(f"alphabet {len(vocab.alphabet)}")
     lines[start : start + 2] = [f"alphabet {len(vocab.alphabet) + 1}", lines[start + 1], lines[start + 1]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(TokenizerError, match="listed twice"):
+    with pytest.raises(TokenizerError, match="^" + re.escape(str(path)) + ": .*listed twice"):
         load_vocab(str(path))
 
 

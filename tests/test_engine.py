@@ -98,6 +98,19 @@ def test_recompute_equivalence_bitwise(family):
         assert np.array_equal(p_plain[name], p_ckpt[name]), name
 
 
+def shard_gradients_agree(engine, batch, n_shards):
+    """Criterion 7's check: per tensor, the sharded gradients within 1e-6 relative of the 1-shard ones."""
+    full_grads, full_loss = engine.compute_gradients(batch, n_shards=1)
+    shard_grads, shard_loss = engine.compute_gradients(batch, n_shards=n_shards)
+    assert list(shard_grads) == engine.params.names()
+    assert shard_loss == pytest.approx(full_loss, rel=1e-6)
+    for name in full_grads:
+        a, b = shard_grads[name], full_grads[name]
+        assert np.all(np.isfinite(a)), name
+        denom = max(float(np.max(np.abs(b))), 1e-12)
+        assert float(np.max(np.abs(a - b))) / denom < 1e-6, name
+
+
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
 @pytest.mark.parametrize("n_shards", [2, 4])
 def test_data_parallel_matches_full_batch(family, n_shards):
@@ -118,14 +131,28 @@ def test_data_parallel_matches_full_batch(family, n_shards):
         batch_fn = lambda k: make_lm_batch(packed, k, 8)
 
     _, _, engine = model_and_engine(family=family, n_layers=2, seed=23)
-    batch = batch_fn(0)
-    full_grads, full_loss = engine.compute_gradients(batch, n_shards=1)
-    shard_grads, shard_loss = engine.compute_gradients(batch, n_shards=n_shards)
-    assert shard_loss == pytest.approx(full_loss, rel=1e-6)
-    for name in full_grads:
-        a, b = shard_grads[name], full_grads[name]
-        denom = max(float(np.max(np.abs(b))), 1e-12)
-        assert float(np.max(np.abs(a - b))) / denom < 1e-6, name
+    shard_gradients_agree(engine, batch_fn(0), n_shards)
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+def test_encoder_shard_without_masked_positions_matches_full_batch(n_shards):
+    """A shard whose rows have no masked position scores no row in the masked-LM head; the sum still matches."""
+    batch = family_batches("encoder-only", batch_size=8)(0)
+    batch.loss_mask[:4] = 0.0  # the first half: shard 0 of 2, shards 0 and 1 of 4
+    assert batch.loss_mask[4:].any()
+    _, _, engine = model_and_engine(family="encoder-only", seed=61)
+    shard_gradients_agree(engine, batch, n_shards)
+
+
+def test_encoder_batch_without_masked_positions_still_trains():
+    batch = family_batches("encoder-only")(0)
+    batch.loss_mask[...] = 0.0  # the token loss is exactly zero; the segment-order loss remains
+    _, params, engine = model_and_engine(family="encoder-only", seed=67)
+    shard_gradients_agree(engine, batch, 2)
+    before = params.flat.copy()
+    metrics = engine.data_parallel_step(batch, 2)
+    assert not metrics.skipped and math.isfinite(metrics.loss) and math.isfinite(metrics.grad_norm)
+    assert np.all(np.isfinite(params.flat)) and not np.array_equal(params.flat, before)
 
 
 def family_batches(family, batch_size=4, seq_len=12):
@@ -146,8 +173,10 @@ def full_batch_objective(params, cfg, batch, rng):
         out = forward(params, cfg, batch.ids, mode="train", rng=rng)
         return objectives.lm_loss(out.logits, batch)
     if cfg.family == "encoder-only":
-        out = forward(params, cfg, batch.ids, mode="train", rng=rng, type_ids=batch.type_ids)
-        return T.add(objectives.mlm_loss(out.logits, batch), objectives.sop_loss(out.sop_logits, batch))
+        # the masked-LM head scores only the masked positions
+        masked = np.flatnonzero(batch.loss_mask)
+        out = forward(params, cfg, batch.ids, mode="train", rng=rng, type_ids=batch.type_ids, positions=masked)
+        return T.add(objectives.mlm_loss(out.logits, batch, positions=masked), objectives.sop_loss(out.sop_logits, batch))
     out = forward(
         params, cfg, batch.ids, mode="train", rng=rng,
         source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
@@ -165,6 +194,30 @@ def test_one_objective_serves_every_family(family):
         source_ids=batch.source_ids, source_attention_mask=batch.source_mask,
     )
     assert objectives.loss(out, batch, batch).item() == expected.item()
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-6)], ids=["float64", "float32"])
+def test_masked_positions_objective_equals_all_positions(dtype, bound):
+    """Scoring only the masked positions is the all-position objective: the other positions weigh nothing."""
+    cfg = ModelConfig("encoder-only", 2, d_layer=16, n_heads=2, d_head=8, vocab_size=31, max_seq_len=16)
+    params = build_model(cfg, seed=71, dtype=dtype)
+    batch = family_batches("encoder-only")(0)
+    positions = objectives.scored_positions(cfg.family, batch)
+    assert 0 < positions.size < batch.loss_mask.size
+    results = []
+    for scored in (None, positions):
+        params.zero_grads()
+        with Tape() as tape:
+            out = forward(params, cfg, batch.ids, mode="train", rng=DropoutRng(0, 0, batch.example_ids),
+                          type_ids=batch.type_ids, positions=scored)
+            loss = objectives.loss(out, batch, batch)
+        tape.backward(loss)
+        results.append((loss.item(), {name: t.grad.copy() for name, t in params.items()}))
+    (all_loss, all_grads), (masked_loss, masked_grads) = results
+    assert abs(masked_loss - all_loss) <= bound * abs(all_loss)
+    for name, g in all_grads.items():
+        assert masked_grads[name].dtype == dtype
+        assert np.max(np.abs(masked_grads[name] - g)) <= bound * max(np.max(np.abs(g)), 1e-30), name
 
 
 def fine_tuned_encoder(seed=0, n_classes=3):
@@ -588,14 +641,23 @@ def test_engine_checkpoint_rejects_seed_format_and_wrong_shapes(tmp_path):
     # counters that are not non-negative ints with optimizer_step <= step, and a scale that is not finite
     counters = [{"step": "x"}, {"step": -3}, {"step": 1.5}, {"optimizer_step": True},
                 {"step": 2, "optimizer_step": 3}, {"step": 2, "optimizer_step": -1}]
-    scales = [dict(meta["extra"]["scaler"], scale=scale) for scale in (math.nan, math.inf)]
+    # and scaler fields that are not finite positive factors, a positive interval or a non-negative count
+    scalers = [{"scale": math.nan}, {"scale": math.inf}, {"growth_factor": math.nan}, {"growth_factor": math.inf},
+               {"growth_factor": 0.0}, {"backoff_factor": math.nan}, {"backoff_factor": -0.5},
+               {"growth_interval": "x"}, {"growth_interval": 0}, {"growth_interval": 1.5},
+               {"consecutive_good_steps": -1}, {"consecutive_good_steps": "x"}, {"consecutive_good_steps": 2.0}]
     saved_cfg = meta["extra"]["engine"]
     infinite_rate = dict(saved_cfg, schedule=dict(saved_cfg["schedule"], peak_lr=math.inf))
+    # engine flags that are not bools, and seeds that are not integers
+    engine_edits = [{"use_loss_scaler": "no"}, {"use_loss_scaler": 1}, {"recompute_activations": "no"},
+                    {"recompute_activations": None}, {"seed": "x"}, {"seed": None}, {"seed": 1.5}]
     for name, extra in (
         ("stale", dict(meta["extra"], engine=stale)), ("no-record", no_record), ("null-scaler", null_scaler),
         *((f"counters{i}", dict(meta["extra"], **edit)) for i, edit in enumerate(counters)),
-        *((f"scale{i}", dict(meta["extra"], scaler=scaler)) for i, scaler in enumerate(scales)),
+        *((f"scaler{i}", dict(meta["extra"], scaler=dict(meta["extra"]["scaler"], **edit)))
+          for i, edit in enumerate(scalers)),
         ("infinite-rate", dict(meta["extra"], engine=infinite_rate)),
+        *((f"engine{i}", dict(meta["extra"], engine=dict(saved_cfg, **edit))) for i, edit in enumerate(engine_edits)),
     ):
         edited = dict(arrays, meta=np.frombuffer(json.dumps(dict(meta, extra=extra)).encode("utf-8"), dtype=np.uint8))
         edited_path = str(tmp_path / f"{name}.npz")

@@ -182,6 +182,24 @@ def test_encoder_only_outputs_auxiliary_heads():
     assert out.pooled.shape == (1, cfg.d_layer)
 
 
+@pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
+def test_positions_score_only_those_rows(family):
+    cfg = tiny(family, dropout_p=0.0)
+    params = build_model(cfg, seed=2)
+    ids = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
+    kwargs = dict(type_ids=np.zeros_like(ids), source_ids=ids)
+    everywhere = forward(params, cfg, ids, **kwargs)
+    assert everywhere.positions is None and everywhere.logits.shape == (2, 5, cfg.vocab_size)
+    for p in (np.array([7, 0, 4]), np.array([], dtype=np.int64)):
+        out = forward(params, cfg, ids, positions=p, **kwargs)
+        assert out.logits.shape == (len(p), cfg.vocab_size)
+        assert out.positions is p
+        rows = everywhere.logits.data.reshape(-1, cfg.vocab_size)[p]
+        assert np.allclose(out.logits.data, rows, rtol=1e-5, atol=1e-6)
+    with pytest.raises(IndexError):
+        forward(params, cfg, ids, positions=np.array([10]), **kwargs)
+
+
 def with_classifier(params, cfg, n_classes, seed=1):
     """The fine-tuned inventory of ``n_classes``: the body of ``params`` plus a random ``cls.*``."""
     rng = np.random.default_rng(seed)
@@ -197,12 +215,15 @@ def test_classifier_head_is_the_only_output_head():
     with Tape() as tape:
         out = forward(params, cfg, np.array([[1, 2, 3, 4], [4, 3, 2, 1]]), mode="train", rng=DropoutRng(0, 0, [0, 1]))
     assert out.logits.shape == (2, 3)
-    assert out.sop_logits is None
+    assert out.sop_logits is None and out.positions is None
     expected = out.pooled.data @ params["cls.w"].data + params["cls.b"].data
     assert np.allclose(out.logits.data, expected, rtol=1e-6, atol=1e-6)
     read = {t.name for node in tape._nodes for t in node.inputs if t.name}
     assert {"pooler.w", "cls.w", "cls.b"} <= read
     assert not [name for name in read if name.startswith(("mlm.", "sop."))], read
+    # ``predict`` scores every row; there are no vocabulary positions to pick
+    with pytest.raises(InputError, match="no vocabulary head"):
+        forward(params, cfg, np.array([[1, 2, 3, 4]]), positions=np.array([0]))
 
 
 def test_overlong_sequence_rejected():
