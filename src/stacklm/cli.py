@@ -260,6 +260,10 @@ def cmd_finetune(args) -> int:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     vocab = bpe.load_vocab(args.vocab)
     train_set = load_tsv_dataset(args.train, "train")
+    # the dev set is checked before training, so a run it rejects writes nothing
+    dev = load_tsv_dataset(args.dev, "dev", label_vocab=train_set.label_vocab) if args.dev else None
+    if dev is not None and len(dev) == 0:
+        raise InputError(f"{args.dev}: cannot evaluate an empty dev split")
     settings = FinetuneSettings(
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         max_steps=args.steps, seed=args.seed,
@@ -274,8 +278,7 @@ def cmd_finetune(args) -> int:
         for m in model.history:
             write_metrics(fh, m)
     print(f"fine-tuned {len(model.history)} steps; head={args.head}; saved {run.file('finetuned.npz')}")
-    if args.dev:
-        dev = load_tsv_dataset(args.dev, "dev", label_vocab=model.label_vocab)
+    if dev is not None:
         metrics = evaluate(model, vocab, dev)
         print(_metrics_line(metrics))
         _write_metrics_json(run, metrics)

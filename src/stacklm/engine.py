@@ -167,7 +167,7 @@ def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, 
         tape.backward(loss, seed_grad=scale)
         missing = [name for name, t in params.items() if t.grad is None]
     finally:
-        params.zero_grads()  # a later backward outside a step writes fresh arrays, not into ``grads``
+        params.route_grads(None)  # a later backward outside a step writes fresh arrays, not into ``grads``
     if missing:
         raise ConfigError(f"the loss does not reach parameters {', '.join(missing)}")
     return float(loss.data)

@@ -28,7 +28,6 @@ from .data import PackedSequenceBatch
 from .engine import EngineConfig, StepMetrics, TrainEngine, train_loop
 from .model import ConfigError, InputError, ModelConfig, ModelParams, build_model, forward, parameter_inventory
 from .optim import TrainSchedule
-from .tensor import Tensor
 
 HEAD_KINDS = ("pair-classifier", "single-classifier")
 PREDICT_BATCH_SIZE = 32
@@ -76,7 +75,10 @@ def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = N
         examples.append(LabeledExample(row["text_a"], text_b if text_b else None, row["label"]))
     if label_vocab is None:
         label_vocab = sorted({ex.label for ex in examples})
-    return ClassificationDataset(examples, split, label_vocab)
+    try:
+        return ClassificationDataset(examples, split, label_vocab)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +221,10 @@ def finetune(
 ) -> FinetunedModel:
     """Replace the pretraining heads with a zero classifier head and train, in place.
 
-    ``params`` becomes ``parameter_inventory(cfg, n_classes)``: its body,
-    trained, plus a fresh ``cls.*`` of the dataset's label count, also
-    where it carried one.  The returned model holds that same object, so
-    the model holds one copy of the body, never two.
+    ``params`` is laid out again in the shapes of ``parameter_inventory(cfg,
+    n_classes)`` for the dataset's label count.  It keeps its body, then
+    trained, and its ``cls.*`` starts at zero, also where it carried one.  The
+    returned model holds that same object: one copy of the body, never two.
 
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
     stops requiring ``text_b`` on every example.
@@ -231,10 +233,8 @@ def finetune(
     the optimizer trajectory depend only on (dataset, settings).
     """
     _check_finetune_inputs(cfg, vocab, dataset, head)
-    params.reset({
-        name: Tensor(np.zeros(shape, params.flat.dtype)) if name.startswith("cls.") else params[name]
-        for name, shape, _ in parameter_inventory(cfg, len(dataset.label_vocab))
-    })
+    shapes = {name: shape for name, shape, _ in parameter_inventory(cfg, len(dataset.label_vocab))}
+    params.reset(shapes, {name: params[name] for name in shapes if not name.startswith("cls.")})
 
     n = len(dataset)
     b = settings.batch_size
@@ -352,6 +352,8 @@ def depth_sweep(
     head = "pair-classifier"
     if len(depths) < 2:
         raise ConfigError("a depth sweep needs at least two depths")
+    if len(set(depths)) < len(depths):
+        raise ConfigError(f"a depth sweep runs each depth once, got {', '.join(map(str, depths))}")
     configs = [replace(base_cfg, n_layers=depth) for depth in depths]
     _check_finetune_inputs(base_cfg, vocab, train_set, head)
     _check_evaluable(dev_set)

@@ -237,17 +237,14 @@ class ModelParams:
             name: Tensor(view, requires_grad=True, name=name) for name, view in self.views(self.flat).items()
         }
 
-    def reset(self, tensors: dict[str, Tensor]) -> None:
-        """Hold exactly ``tensors``, their values copied into a new arena.
+    def reset(self, shapes: dict[str, tuple[int, ...]], kept: dict[str, Tensor]) -> None:
+        """Lay out ``shapes`` in a new arena of this object's dtype and copy each tensor of ``kept`` into its view.
 
-        The tensors may be this object's own: the old arena is freed once
-        nothing holds a view of it.
+        Every other name starts at zero.  ``kept`` may hold this object's
+        own tensors: the old arena is freed once nothing holds a view of it.
         """
-        dtypes = {t.dtype for t in tensors.values()}
-        if len(dtypes) > 1:
-            raise ConfigError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
-        self.__init__({name: t.shape for name, t in tensors.items()}, dtypes.pop() if dtypes else np.float32)
-        for name, t in tensors.items():
+        self.__init__(shapes, self.flat.dtype)
+        for name, t in kept.items():
             self.tensors[name].data[...] = t.data
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -273,13 +270,10 @@ class ModelParams:
         return self.flat.size
 
     def route_grads(self, grads: Optional[dict[str, np.ndarray]]) -> None:
-        """Clear the gradients; the next backward writes each into its view in ``grads`` (None: fresh arrays)."""
+        """Clear the gradients; the next backward writes each into its view in ``grads``, or fresh arrays if None."""
         for name, t in self.tensors.items():
             t.grad = None
             t.grad_buffer = None if grads is None else grads[name]
-
-    def zero_grads(self) -> None:
-        self.route_grads(None)
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -565,8 +559,8 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
-def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]):
-    """Each ``<slot>:<name>`` array as (name, array), read one at a time and checked against ``expected``."""
+def _read_slot(path: str, archive, slot: str, expected: dict[str, tuple[int, ...]]):
+    """Each ``<slot>:<name>`` array of ``path`` as (name, array), read one at a time, checked against ``expected``."""
     prefix = f"{slot}:"
     missing = set(expected)
     for key in archive.files:
@@ -574,14 +568,14 @@ def _read_slot(archive, slot: str, expected: dict[str, tuple[int, ...]]):
             continue
         name = key[len(prefix):]
         if name not in expected:
-            raise ConfigError(f"checkpoint has an unexpected {slot} array {name!r}")
+            raise ConfigError(f"{path}: checkpoint has an unexpected {slot} array {name!r}")
         arr = archive[key]
         if arr.shape != expected[name]:
-            raise ConfigError(f"checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
+            raise ConfigError(f"{path}: checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
         missing.discard(name)
         yield name, arr
     if missing:
-        raise ConfigError(f"checkpoint is missing {slot} arrays: {sorted(missing)[:5]}")
+        raise ConfigError(f"{path}: checkpoint is missing {slot} arrays: {sorted(missing)[:5]}")
 
 
 def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams, ModelConfig, dict]:
@@ -603,7 +597,7 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
         except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
             raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
         if type(version) is not int or version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version!r}")
+            raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
         if not isinstance(meta.get("config"), str):
             raise ConfigError(f"{path}: checkpoint meta has no model config text")
         if not isinstance(meta.get("extra"), dict):
@@ -614,16 +608,16 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
             n_classes = (archive["param:cls.w"].shape or (0,))[-1]
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg, n_classes)}
         params = None
-        for name, arr in _read_slot(archive, "param", expected):
+        for name, arr in _read_slot(path, archive, "param", expected):
             dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
             params = params or ModelParams(expected, dtype)
             if dtype != params.flat.dtype:
-                raise ConfigError(f"parameters mix dtypes {sorted(map(str, (dtype, params.flat.dtype)))}")
+                raise ConfigError(f"{path}: parameters mix dtypes {sorted(map(str, (dtype, params.flat.dtype)))}")
             params[name].data[...] = arr
         extra = dict(meta["extra"])
         for slot in slots:
             extra[slot] = mapped_zeros(params.flat.shape, params.flat.dtype)
             views = params.views(extra[slot])
-            for name, arr in _read_slot(archive, slot, expected):
+            for name, arr in _read_slot(path, archive, slot, expected):
                 views[name][...] = arr
     return params, cfg, extra

@@ -95,18 +95,25 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         bad_checkpoints[-1].write_bytes(raw[:cut])
     bad_checkpoints.append(tmp_path / "no-meta.npz")
     np.savez(str(bad_checkpoints[-1]), unrelated=np.zeros(3))
-    # meta records with a non-object or missing 'extra', or a non-text config
+    # meta records with a non-object or missing 'extra', a non-text config or another version
     with np.load(str(tmp_path / "model.npz")) as archive:
         arrays = {key: archive[key] for key in archive.files}
     meta = json.loads(arrays["meta"].tobytes())
     no_extra = {k: v for k, v in meta.items() if k != "extra"}
-    for i, bad_meta in enumerate(({**meta, "extra": 5}, {**meta, "extra": [1]}, no_extra, {**meta, "config": 123})):
+    for i, bad_meta in enumerate(({**meta, "extra": 5}, {**meta, "extra": [1]}, no_extra, {**meta, "config": 123},
+                                  {**meta, "version": 2})):
         bad_checkpoints.append(tmp_path / f"meta{i}.npz")
         record = np.frombuffer(json.dumps(bad_meta).encode("utf-8"), dtype=np.uint8)
         np.savez(str(bad_checkpoints[-1]), **{**arrays, "meta": record})
-    # parameter arrays of two dtypes
-    bad_checkpoints.append(tmp_path / "mixed.npz")
-    np.savez(str(bad_checkpoints[-1]), **{**arrays, "param:tok_emb": arrays["param:tok_emb"].astype(np.float64)})
+    # parameter arrays of two dtypes, one the inventory lacks, one of the wrong shape, and one missing
+    for name, bad_arrays in (
+        ("mixed", {**arrays, "param:tok_emb": arrays["param:tok_emb"].astype(np.float64)}),
+        ("unexpected", {**arrays, "param:bogus": np.zeros(3, np.float32)}),
+        ("shape", {**arrays, "param:tok_emb": np.zeros((vocab.size, 3), np.float32)}),
+        ("missing", {key: a for key, a in arrays.items() if key != "param:pos_emb"}),
+    ):
+        bad_checkpoints.append(tmp_path / f"{name}.npz")
+        np.savez(str(bad_checkpoints[-1]), **bad_arrays)
     # a 2-layer checkpoint whose config was edited to 1 layer, and one with no classifier head to evaluate
     deeper = dataclasses.replace(cfg, n_layers=2)
     save_checkpoint(str(tmp_path / "deeper.npz"), build_model(deeper, seed=0), cfg)
@@ -134,6 +141,10 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     (tmp_path / "long.tsv").write_text("text_a\ttext_b\tlabel\n" + "a" * 140_000 + "\tb\t1\n")
     (tmp_path / "latin1.tsv").write_bytes("text_a\ttext_b\tlabel\ncaf\u00e9\tb\t1\n".encode("latin-1"))
     (tmp_path / "latin1.txt").write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+    # dev and eval sets with a label the train set and the head lack, and one with no rows
+    unseen_tsv = tmp_path / "unseen.tsv"
+    unseen_tsv.write_text("text_a\ttext_b\tlabel\nsome words\trepeat\t7\n")
+    (tmp_path / "header-only.tsv").write_text("text_a\ttext_b\tlabel\n")
     # model configs with a bad vocabulary size, sequence length or value, and one that is not UTF-8
     valid = "family = decoder-only\nn_layers = 2\nd_layer = 8\nn_heads = 2\nd_head = 4\nvocab_size = 99\n"
     bad_configs = []
@@ -189,6 +200,19 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--lr", rate):
            "learning rate must be finite" for rate in ("inf", "nan")},
         **{("cost", "--peak-rate", rate): "peak_rate must be finite" for rate in ("nan", "inf")},
+        ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,1"): "runs each depth once",
+        # fine-tuning checks its dev set before it trains
+        ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
+         "--dev", str(unseen_tsv)): f"{unseen_tsv}: label '7' not in label vocabulary ['0', '1']",
+        ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
+         "--dev", str(tmp_path / "header-only.tsv")): f"{tmp_path / 'header-only.tsv'}: cannot evaluate an empty",
+        # checkpoint and dataset errors name their file
+        ("eval", "--checkpoint", str(tmp_path / "tuned.npz"), "--vocab", str(vocab_path), "--data", str(unseen_tsv)):
+            f"{unseen_tsv}: label '7'",
+        ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--train", str(tsv),
+         "--dev", str(unseen_tsv), "--vocab", str(vocab_path)): f"{unseen_tsv}: label '7'",
+        **{(command, "--checkpoint", str(bad), "--vocab", str(vocab_path), data, str(tsv)): str(bad)
+           for bad in bad_checkpoints for command, data in (("eval", "--data"), ("finetune", "--train"))},
     }
     cases += [list(argv) for argv in named]
     for bad in ("long.tsv", "latin1.tsv"):
@@ -196,9 +220,6 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
                       "--train", str(tmp_path / bad), "--dev", str(tsv), "--vocab", str(vocab_path)])
     for bad in bad_configs:
         cases.append(["count-params", "--config", str(bad)])
-    for bad in bad_checkpoints:
-        cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
-        cases.append(["finetune", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--train", str(tsv)])
     for bad in bad_evals:
         cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
     # label vocabularies that are not distinct strings, one per class of the 2-class head; every label here is "0"
@@ -215,6 +236,8 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"stacklm {argv[0]}: error:"), (argv, err)
         assert named.get(tuple(argv), "") in err[0], err
+        # a message that names a file names it once
+        assert all(err[0].count(arg) <= 1 for arg in argv if arg.startswith(str(tmp_path))), err
         assert not (tmp_path / f"run{i}").exists(), argv
 
 

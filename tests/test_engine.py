@@ -206,7 +206,7 @@ def test_masked_positions_objective_equals_all_positions(dtype, bound):
     assert 0 < positions.size < batch.loss_mask.size
     results = []
     for scored in (None, positions):
-        params.zero_grads()
+        params.route_grads(None)
         with Tape() as tape:
             out = forward(params, cfg, batch.ids, mode="train", rng=DropoutRng(0, 0, batch.example_ids),
                           type_ids=batch.type_ids, positions=scored)
@@ -282,7 +282,7 @@ def test_single_shard_is_exactly_train_step():
         expected = []
         for k in range(3):
             batch = batch_fn(k)
-            ref_params.zero_grads()
+            ref_params.route_grads(None)
             rng = DropoutRng(ref.cfg.seed, ref.step, batch.example_ids)
             with Tape() as tape:
                 loss = full_batch_objective(ref_params, cfg, batch, rng)
@@ -411,7 +411,7 @@ def test_shard_compute_order_does_not_matter():
     shard_grads = {}
     for index in reversed(range(2)):
         shard = batch.shard(index, 2)
-        engine.params.zero_grads()
+        engine.params.route_grads(None)
         rng = DropoutRng(engine.cfg.seed, engine.step, shard.example_ids)
         with Tape() as tape:
             out = forward(engine.params, engine.model_cfg, shard.ids, mode="train", rng=rng)
@@ -422,7 +422,7 @@ def test_shard_compute_order_does_not_matter():
     combined = {}
     for name in engine.params.names():
         combined[name] = shard_grads[0][name] + shard_grads[1][name]
-    engine.params.zero_grads()
+    engine.params.route_grads(None)
     update_from(engine, combined, 0.0)
     for name, t in params_a.items():
         assert np.array_equal(t.data, params_b[name].data), name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, wants_weight_decay
+from stacklm.model import ModelConfig, ModelParams, build_model, wants_weight_decay
 from stacklm.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -353,12 +353,11 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
 def test_arena_copies_its_tensors_in_and_keeps_one_dtype():
     data = np.ones((2, 3), dtype=np.float32)
     params = ModelParams({}, np.float32)
-    params.reset({"w": Tensor(data), "b": Tensor(np.zeros(3, dtype=np.float32))})
+    params.reset({"w": (2, 3), "b": (3,)}, {"w": Tensor(data)})
     assert not np.shares_memory(params["w"].data, data)
+    assert np.all(params["b"].data == 0.0) and params.flat.dtype == np.float32
     params["w"].data += 1.0
     assert np.all(data == 1.0)
-    with pytest.raises(ConfigError, match="parameters mix dtypes"):
-        params.reset({"w": Tensor(data), "b": Tensor(np.zeros(3))})
 
 
 def test_decay_set_excludes_vectors_and_embeddings():
