@@ -50,6 +50,7 @@ from .engine import (
     write_metrics,
 )
 from .evaluation import (
+    HEAD_KINDS,
     FinetuneSettings,
     FinetunedModel,
     SweepError,
@@ -259,11 +260,9 @@ def cmd_finetune(args) -> int:
         run.record_input(role, getattr(args, role, None))
     params, cfg, _ = load_checkpoint(args.checkpoint)
     vocab = bpe.load_vocab(args.vocab)
-    train_set = load_tsv_dataset(args.train, "train")
-    # the dev set is checked before training, so a run it rejects writes nothing
-    dev = load_tsv_dataset(args.dev, "dev", label_vocab=train_set.label_vocab) if args.dev else None
-    if dev is not None and len(dev) == 0:
-        raise InputError(f"{args.dev}: cannot evaluate an empty dev split")
+    train_set = load_tsv_dataset(args.train)
+    # the dev set is read, and so checked, before training: a run it rejects writes nothing
+    dev = load_tsv_dataset(args.dev, label_vocab=train_set.label_vocab) if args.dev else None
     settings = FinetuneSettings(
         learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         max_steps=args.steps, seed=args.seed,
@@ -324,7 +323,7 @@ def cmd_eval(args) -> int:
     label_vocab = extra.get("label_vocab")
     if label_vocab is not None:
         _check_label_vocab(label_vocab, n_classes, f"{args.checkpoint}'s label vocabulary")
-    dataset = load_tsv_dataset(args.data, args.split, label_vocab=label_vocab)
+    dataset = load_tsv_dataset(args.data, label_vocab=label_vocab)
     _check_label_vocab(dataset.label_vocab, n_classes, f"the labels of {args.data}")
     model = FinetunedModel(params, cfg, dataset.label_vocab, [])
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
@@ -346,8 +345,8 @@ def cmd_sweep(args) -> int:
             raise ValueError("--train needs --dev and --vocab")
         run.record_input("train", args.train)
         run.record_input("dev", args.dev)
-        train_set = load_tsv_dataset(args.train, "train")
-        dev_set = load_tsv_dataset(args.dev, "dev", label_vocab=train_set.label_vocab)
+        train_set = load_tsv_dataset(args.train)
+        dev_set = load_tsv_dataset(args.dev, label_vocab=train_set.label_vocab)
         vocab = bpe.load_vocab(args.vocab)
     else:
         # bundled synthetic task so the sweep procedure runs out of the box
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="TSV with text_a, text_b, label")
     p.add_argument("--dev", help="optional dev TSV, evaluated after training")
     p.add_argument(
-        "--head", choices=["pair-classifier", "single-classifier"], default="pair-classifier",
+        "--head", choices=HEAD_KINDS, default="pair-classifier",
         help="both run the same classifier head; single-classifier only stops requiring text_b",
     )
     p.add_argument("--lr", type=float, default=2e-5)
@@ -458,11 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint on a dataset split")
+    p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="dev")
     p.add_argument("--positive-label")
     common(p)
     p.set_defaults(fn=cmd_eval)

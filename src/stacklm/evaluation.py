@@ -2,7 +2,8 @@
 
 Dataset files are tab-separated with a header line: ``text_a``, optional
 ``text_b`` and ``label``, matching common benchmark distributions so real
-task files drop in unchanged.
+task files drop in unchanged.  A dataset is checked once, when it is built,
+and each of its errors starts with its file's path.
 
 A classification input is one sequence ``[sep] text_a [sep]`` (and
 ``text_b [sep]`` for pair tasks) where ``sep`` is the end-of-document
@@ -42,15 +43,22 @@ class LabeledExample:
 
 @dataclass
 class ClassificationDataset:
+    """Examples read from ``source`` (a file path, or ``synthetic <split> task``), which takes no part in equality.
+
+    A dataset has examples, each labelled from ``label_vocab``; every ``InputError`` it raises starts with ``source``.
+    """
+
     examples: list[LabeledExample]
-    split: str
+    source: str = field(compare=False)
     label_vocab: list[str]
 
     def __post_init__(self):
+        if not self.examples:
+            raise InputError(f"{self.source}: has no examples")
         known = set(self.label_vocab)
         for ex in self.examples:
             if ex.label not in known:
-                raise InputError(f"label {ex.label!r} not in label vocabulary {self.label_vocab}")
+                raise InputError(f"{self.source}: label {ex.label!r} not in label vocabulary {self.label_vocab}")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -60,7 +68,7 @@ class ClassificationDataset:
         return np.array([index[ex.label] for ex in self.examples], dtype=np.int64)
 
 
-def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = None) -> ClassificationDataset:
+def load_tsv_dataset(path: str, label_vocab: Optional[list[str]] = None) -> ClassificationDataset:
     """Tab-separated UTF-8 file, byte-order mark allowed, with a header naming text_a[, text_b], label."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
@@ -75,10 +83,7 @@ def load_tsv_dataset(path: str, split: str, label_vocab: Optional[list[str]] = N
         examples.append(LabeledExample(row["text_a"], text_b if text_b else None, row["label"]))
     if label_vocab is None:
         label_vocab = sorted({ex.label for ex in examples})
-    try:
-        return ClassificationDataset(examples, split, label_vocab)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return ClassificationDataset(examples, path, label_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +197,8 @@ def _check_finetune_inputs(cfg: ModelConfig, vocab: TokenizerVocab, dataset: Cla
     if head not in HEAD_KINDS:
         raise ConfigError(f"head must be one of {HEAD_KINDS}, got {head!r}")
     if head == "pair-classifier" and any(ex.text_b is None for ex in dataset.examples):
-        raise InputError("pair-classifier needs text_b on every example")
-    if len(dataset) == 0:
-        raise InputError("cannot fine-tune on an empty dataset")
+        raise InputError(f"{dataset.source}: pair-classifier needs text_b on every example")
     _check_vocab(cfg, vocab)
-
-
-def _check_evaluable(dataset: ClassificationDataset) -> None:
-    if len(dataset) == 0:
-        raise InputError(f"cannot evaluate an empty {dataset.split} split")
 
 
 @dataclass
@@ -227,7 +225,8 @@ def finetune(
     returned model holds that same object: one copy of the body, never two.
 
     ``single-classifier`` runs the same head as ``pair-classifier``; it only
-    stops requiring ``text_b`` on every example.
+    stops requiring ``text_b`` on every example, an error that starts with
+    ``dataset.source``.
 
     Deterministic given ``settings.seed``: batch order, dropout streams and
     the optimizer trajectory depend only on (dataset, settings).
@@ -294,7 +293,6 @@ def evaluate(
         if len(labels) != 2:
             raise InputError(f"positive label {positive_label!r} given for {len(labels)} labels {labels}: "
                              "precision, recall and F1 are binary-only")
-    _check_evaluable(dataset)
     predictions = predict(model, vocab, dataset)
     truth = dataset.labels_as_ids()
     if len(labels) == 2:
@@ -344,10 +342,10 @@ def depth_sweep(
     """Fine-tune otherwise-identical models at each depth and pick the best.
 
     Every depth gets the same seed and budget.  The winner is the
-    argmax-accuracy depth, ties broken toward the smaller depth.  An input
-    that no depth can train on or be scored on is rejected before the first
-    depth runs; a failure of one depth raises ``SweepError``.  Every depth
-    trains a ``pair-classifier`` head.
+    argmax-accuracy depth, ties broken toward the smaller depth.  The
+    datasets were checked when they were built; an input that no depth can
+    train on is rejected before the first depth runs, and a failure of one
+    depth raises ``SweepError``.  Every depth trains a ``pair-classifier`` head.
     """
     head = "pair-classifier"
     if len(depths) < 2:
@@ -356,7 +354,6 @@ def depth_sweep(
         raise ConfigError(f"a depth sweep runs each depth once, got {', '.join(map(str, depths))}")
     configs = [replace(base_cfg, n_layers=depth) for depth in depths]
     _check_finetune_inputs(base_cfg, vocab, train_set, head)
-    _check_evaluable(dev_set)
     rows: list[tuple[int, EvalMetrics]] = []
     for depth, cfg in zip(depths, configs):
         try:
@@ -422,7 +419,7 @@ def make_synthetic_pair_task(n_examples: int, seed: int, split: str = "train") -
                 str(label),
             )
         )
-    return ClassificationDataset(examples, split, ["0", "1"])
+    return ClassificationDataset(examples, f"synthetic {split} task", ["0", "1"])
 
 
 def synthetic_task_vocab() -> TokenizerVocab:

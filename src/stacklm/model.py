@@ -559,6 +559,24 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+# what reading a damaged archive raises: zipfile's CRC and header errors (BadZipFile), a member it cannot
+# extract (RuntimeError), a seek outside the file (OSError), numpy's header and data errors (ValueError, EOFError)
+_DAMAGED_ARCHIVE = (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile)
+
+
+def _read_array(path: str, archive, key: str) -> np.ndarray:
+    """``archive[key]``, which must read back whole and hold only finite numbers; else a ``ConfigError`` naming both."""
+    try:
+        arr = archive[key]
+    except _DAMAGED_ARCHIVE as exc:
+        # numpy's message for an oversized header spans lines, and an EOFError may have none
+        reason = str(exc).partition("\n")[0] or type(exc).__name__
+        raise ConfigError(f"{path}: checkpoint array {key} is damaged: {reason}") from None
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: checkpoint array {key} holds a NaN or an infinity, or is not numeric")
+    return arr
+
+
 def _read_slot(path: str, archive, slot: str, expected: dict[str, tuple[int, ...]]):
     """Each ``<slot>:<name>`` array of ``path`` as (name, array), read one at a time, checked against ``expected``."""
     prefix = f"{slot}:"
@@ -569,7 +587,7 @@ def _read_slot(path: str, archive, slot: str, expected: dict[str, tuple[int, ...
         name = key[len(prefix):]
         if name not in expected:
             raise ConfigError(f"{path}: checkpoint has an unexpected {slot} array {name!r}")
-        arr = archive[key]
+        arr = _read_array(path, archive, key)
         if arr.shape != expected[name]:
             raise ConfigError(f"{path}: checkpoint {slot} {name} has shape {arr.shape}, expected {expected[name]}")
         missing.discard(name)
@@ -594,7 +612,7 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
             archive = np.load(fh)
             meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
             version = meta.get("version")
-        except (AttributeError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
+        except (AttributeError, IndexError, KeyError, *_DAMAGED_ARCHIVE):
             raise ConfigError(f"{path} is not a stacklm checkpoint: no .npz archive with a meta record") from None
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
@@ -605,7 +623,7 @@ def load_checkpoint(path: str, slots: tuple[str, ...] = ()) -> tuple[ModelParams
         cfg = config_from_text(meta["config"], source=path)
         n_classes = None
         if cfg.family == "encoder-only" and "param:cls.w" in archive.files:
-            n_classes = (archive["param:cls.w"].shape or (0,))[-1]
+            n_classes = (_read_array(path, archive, "param:cls.w").shape or (0,))[-1]
         expected = {name: shape for name, shape, _ in parameter_inventory(cfg, n_classes)}
         params = None
         for name, arr in _read_slot(path, archive, "param", expected):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tomllib
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     ):
         bad_checkpoints.append(tmp_path / f"{name}.npz")
         np.savez(str(bad_checkpoints[-1]), **bad_arrays)
+    # an array header that claims 16 KiB more than it holds, with the bytes behind it: numpy's error spans lines
+    with zipfile.ZipFile(tmp_path / "model.npz") as src, zipfile.ZipFile(tmp_path / "header.npz", "w") as dst:
+        for name in src.namelist():
+            member = src.read(name)
+            if name == "param:tok_emb.npy":
+                length = int.from_bytes(member[8:10], "little") + 0x4000
+                member = member[:8] + length.to_bytes(2, "little") + member[10:] + b" " * 0x4000
+            dst.writestr(name, member)
+    bad_checkpoints.append(tmp_path / "header.npz")
+    # a checkpoint whose parameters hold one NaN
+    nan_arrays = {**arrays, "param:block0.mlp.w_fc": arrays["param:block0.mlp.w_fc"].copy()}
+    nan_arrays["param:block0.mlp.w_fc"][0, 0] = np.nan
+    np.savez(str(tmp_path / "nan.npz"), **nan_arrays)
     # a 2-layer checkpoint whose config was edited to 1 layer, and one with no classifier head to evaluate
     deeper = dataclasses.replace(cfg, n_layers=2)
     save_checkpoint(str(tmp_path / "deeper.npz"), build_model(deeper, seed=0), cfg)
@@ -128,7 +142,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     # a three-label fine-tune, for which precision, recall and F1 are undefined
     three_tsv = tmp_path / "three.tsv"
     three_tsv.write_text("text_a\tlabel\nsome words\ta\nwords repeat\tb\nrepeat some\tc\n")
-    three = load_tsv_dataset(str(three_tsv), "train")
+    three = load_tsv_dataset(str(three_tsv))
     tuned3 = finetune(build_model(cfg, seed=0), cfg, vocab, three, "single-classifier", FinetuneSettings(max_steps=0))
     save_checkpoint(str(tmp_path / "tuned3.npz"), tuned3.params, cfg, extra={"label_vocab": tuned3.label_vocab})
     (tmp_path / "no-steps.csv").write_text("model,time,gpus\nTINY,1h,1\n")
@@ -145,6 +159,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     unseen_tsv = tmp_path / "unseen.tsv"
     unseen_tsv.write_text("text_a\ttext_b\tlabel\nsome words\trepeat\t7\n")
     (tmp_path / "header-only.tsv").write_text("text_a\ttext_b\tlabel\n")
+    (tmp_path / "no-text-b.tsv").write_text("text_a\tlabel\nsome words\t0\nwords repeat\t1\n")
     # model configs with a bad vocabulary size, sequence length or value, and one that is not UTF-8
     valid = "family = decoder-only\nn_layers = 2\nd_layer = 8\nn_heads = 2\nd_head = 4\nvocab_size = 99\n"
     bad_configs = []
@@ -205,7 +220,19 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
          "--dev", str(unseen_tsv)): f"{unseen_tsv}: label '7' not in label vocabulary ['0', '1']",
         ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
-         "--dev", str(tmp_path / "header-only.tsv")): f"{tmp_path / 'header-only.tsv'}: cannot evaluate an empty",
+         "--dev", str(tmp_path / "header-only.tsv")): f"{tmp_path / 'header-only.tsv'}: has no examples",
+        # and every dataset error starts with its file
+        ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path),
+         "--train", str(tmp_path / "header-only.tsv")): f"error: {tmp_path / 'header-only.tsv'}: has no examples",
+        ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path),
+         "--train", str(tmp_path / "no-text-b.tsv")):
+            f"error: {tmp_path / 'no-text-b.tsv'}: pair-classifier needs text_b on every example",
+        ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--train", str(tsv),
+         "--dev", str(tmp_path / "header-only.tsv"), "--vocab", str(vocab_path)):
+            f"error: {tmp_path / 'header-only.tsv'}: has no examples",
+        # a parameter that is not finite
+        ("finetune", "--checkpoint", str(tmp_path / "nan.npz"), "--vocab", str(vocab_path), "--train", str(tsv)):
+            f"error: {tmp_path / 'nan.npz'}: checkpoint array param:block0.mlp.w_fc holds a NaN",
         # checkpoint and dataset errors name their file
         ("eval", "--checkpoint", str(tmp_path / "tuned.npz"), "--vocab", str(vocab_path), "--data", str(unseen_tsv)):
             f"{unseen_tsv}: label '7'",

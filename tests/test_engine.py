@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -5,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stacklm import objectives
 from stacklm import tensor as T
@@ -516,6 +520,37 @@ def test_checkpoint_restores_moments_into_the_arena(tmp_path):
         assert flat.any()
         for name, view in restored.params.views(flat).items():
             assert np.shares_memory(view, flat) and np.array_equal(view, saved[name]), name
+
+
+@functools.cache
+def _engine_checkpoint_bytes() -> bytes:
+    """A tiny encoder's engine checkpoint, with moments that are not zero."""
+    _, _, engine = model_and_engine("encoder-only", n_layers=1, seed=5)
+    engine.optimizer.m_flat.fill(0.5)
+    engine.optimizer.v_flat.fill(0.25)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.npz")
+        save_engine_checkpoint(path, engine)
+        return Path(path).read_bytes()
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_one_line_config_error(tmp_path, data):
+    # a single flipped bit anywhere in the file, or the file cut short; ConfigError is what the CLI prints as one line
+    damaged = bytearray(_engine_checkpoint_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = damaged[: data.draw(st.integers(0, len(damaged) - 1), label="length")]
+    else:
+        offset = data.draw(st.integers(0, len(damaged) - 1), label="offset")
+        damaged[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path = tmp_path / "model.npz"
+    path.write_bytes(damaged)
+    for load in (load_checkpoint, load_engine_checkpoint):
+        try:
+            load(str(path))
+        except ConfigError as exc:
+            assert str(exc).startswith(str(path)) and "\n" not in str(exc), exc
 
 
 RESTORE_PEAK = """

@@ -96,7 +96,7 @@ def test_tsv_round_trip(tmp_path, write_tsv):
     ds = make_synthetic_pair_task(10, seed=0)
     path = str(tmp_path / "task.tsv")
     write_tsv(ds, path)
-    loaded = load_tsv_dataset(path, "train")
+    loaded = load_tsv_dataset(path)
     assert loaded.label_vocab == ["0", "1"]
     assert [e.text_a for e in loaded.examples] == [e.text_a for e in ds.examples]
     assert [e.label for e in loaded.examples] == [e.label for e in ds.examples]
@@ -112,7 +112,7 @@ def test_unreadable_tsv_is_input_error_naming_the_file(tmp_path):
         path = tmp_path / name
         path.write_bytes(raw)
         with pytest.raises(InputError, match="^" + re.escape(str(path))):
-            load_tsv_dataset(str(path), "train")
+            load_tsv_dataset(str(path))
 
 
 def test_tsv_with_byte_order_mark_loads_the_same_dataset(tmp_path):
@@ -120,8 +120,8 @@ def test_tsv_with_byte_order_mark_loads_the_same_dataset(tmp_path):
     plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
     plain.write_bytes(raw)
     marked.write_bytes(b"\xef\xbb\xbf" + raw)
-    expected = load_tsv_dataset(str(plain), "train")
-    assert load_tsv_dataset(str(marked), "train") == expected
+    expected = load_tsv_dataset(str(plain))
+    assert load_tsv_dataset(str(marked)) == expected
     assert [ex.text_a for ex in expected.examples] == ["azur", "cedar dusk"]
 
 
@@ -135,7 +135,7 @@ def test_garbled_tsv_loads_or_raises_input_error(tmp_path, data, junk):
     path = tmp_path / "garbled.tsv"
     path.write_bytes(_TSV_BYTES[:start] + junk + _TSV_BYTES[start + len(junk) :])
     try:
-        dataset = load_tsv_dataset(str(path), "train")
+        dataset = load_tsv_dataset(str(path))
     except InputError:
         return
     assert all(ex.label in dataset.label_vocab for ex in dataset.examples)
@@ -298,8 +298,9 @@ def test_evaluate_rejects_empty_split(vocab):
     params = build_model(cfg, seed=0)
     ds = make_synthetic_pair_task(8, seed=0)
     model = finetune(params, cfg, vocab, ds, "pair-classifier", FinetuneSettings(max_steps=0))
-    empty = ClassificationDataset([], "dev", ["0", "1"])
-    with pytest.raises(InputError):
+    # an empty dataset is rejected when it is built, so evaluation never sees one
+    with pytest.raises(InputError, match="^dev: has no examples$"):
+        empty = ClassificationDataset([], "dev", ["0", "1"])
         evaluate(model, vocab, empty)
 
 

@@ -517,7 +517,12 @@ def test_checkpoint_dtype_rules(tmp_path):
     np.savez(str(bad), **{**arrays, "param:pooler.w": arrays["param:pooler.w"].astype(np.float32)})
     with pytest.raises(ConfigError, match=re.escape("parameters mix dtypes ['float32', 'float64']")):
         load_checkpoint(str(bad))
-    # the loader casts as Tensor does: any dtype but float32 and float64 becomes float64
+    # an array of text, or of complex numbers, is not a parameter
+    for odd in (arrays["param:pooler.w"].astype(str), arrays["param:pooler.w"].astype(np.complex128)):
+        np.savez(str(bad), **{**arrays, "param:pooler.w": odd})
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}: checkpoint array param:pooler.w holds")):
+            load_checkpoint(str(bad))
+    # the loader casts as Tensor does: any number type but float32 and float64 becomes float64
     np.savez(str(bad), **{key: a.astype(np.float16) if key.startswith("param:") else a for key, a in arrays.items()})
     loaded, _, _ = load_checkpoint(str(bad))
     assert loaded.flat.dtype == np.float64
