@@ -1,13 +1,17 @@
 """Command-line entry point.
 
 Every invocation owns one run directory (``--out``, defaulting to
-``$STACKLM_OUT_ROOT/<command>`` or ``./runs/<command>``) and writes exactly
-one ``manifest.json`` there: the command, every parsed option (plus what
-the command resolves from them, such as a model config), the seed,
-the toolkit version, SHA-256 hashes of the file inputs, start/end
-timestamps and the runtime settings: the malloc thresholds ``main``
-applied and, for ``pretrain``, the processes its shards ran on and the BLAS
-threads of each.  A rerun with an equal manifest produces equal outputs.
+``$STACKLM_OUT_ROOT/<command>`` or ``./runs/<command>``).  ``main`` opens it
+before the command runs and, when the command returns, writes exactly one
+``manifest.json`` there: the command, every parsed option (plus what the
+command resolves from them, such as a model config), the seed (``--seed``
+is on the training commands ``pretrain``, ``finetune`` and ``sweep`` only;
+the others record ``null``), the toolkit version, the SHA-256 hash of every
+file option given (each option the parser types ``InputFile``, under its
+name), start/end timestamps and the runtime settings: the malloc thresholds
+``main`` applied and, for ``pretrain``, the processes its shards ran on and
+the BLAS threads of each.  A rerun with an equal manifest produces equal
+outputs.
 
 The ``--toy`` profile scales the pretraining recipe down by documented
 factors (depth -> min(depth, 2), width -> 64, heads -> 4, head width -> 16,
@@ -113,25 +117,25 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+class InputFile(str):
+    """The type of a parser option that names a file the command reads; the manifest hashes it."""
+
+
 class RunDirectory:
-    """Owns one output directory and its manifest, which records every parsed option.
+    """Owns one output directory and its manifest: every parsed option, and the hash of each ``InputFile`` option.
 
     The directory is created when ``file`` first hands out a path in it, so
     a run rejected for its inputs before it writes anything leaves none.
     """
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, runtime: Optional[dict[str, object]] = None):
         root = os.environ.get("STACKLM_OUT_ROOT", "runs")
         self.path = Path(args.out) if args.out else Path(root) / args.command
         self.command = args.command
         self.started = time.time()
-        self.inputs: dict[str, str] = {}
-        self.options: dict[str, object] = {k: v for k, v in vars(args).items() if k not in ("fn", "runtime")}
-        self.runtime: dict[str, object] = dict(getattr(args, "runtime", {}))
-
-    def record_input(self, role: str, path: Optional[str]) -> None:
-        if path:
-            self.inputs[role] = f"sha256:{_sha256(path)}"
+        self.options: dict[str, object] = {k: v for k, v in vars(args).items() if k != "fn"}
+        self.inputs = {k: f"sha256:{_sha256(v)}" for k, v in self.options.items() if isinstance(v, InputFile)}
+        self.runtime: dict[str, object] = dict(runtime or {})
 
     def file(self, name: str) -> str:
         self.path.mkdir(parents=True, exist_ok=True)
@@ -164,10 +168,9 @@ def _apply_toy_profile(cfg: ModelConfig) -> ModelConfig:
     )
 
 
-def _resolve_vocab(args, run: RunDirectory, corpus_docs: list[str], target: int) -> tuple[bpe.TokenizerVocab, bool]:
+def _resolve_vocab(args, corpus_docs: list[str], target: int) -> tuple[bpe.TokenizerVocab, bool]:
     """The given vocabulary, or one trained on the corpus; and whether it was trained (the run then saves it)."""
-    if getattr(args, "vocab", None):
-        run.record_input("vocab", args.vocab)
+    if args.vocab:
         return bpe.load_vocab(args.vocab), False
     return bpe.train_bpe(corpus_docs, target), True
 
@@ -177,14 +180,11 @@ def _resolve_vocab(args, run: RunDirectory, corpus_docs: list[str], target: int)
 # ---------------------------------------------------------------------------
 
 
-def cmd_tokenize_train(args) -> int:
-    run = RunDirectory(args)
-    run.record_input("corpus", args.corpus)
+def cmd_tokenize_train(args, run: RunDirectory) -> int:
     docs = datap.read_documents(args.corpus)
     vocab = bpe.train_bpe(docs, args.vocab_size)
     bpe.save_vocab(vocab, run.file("vocab.txt"))
     print(f"trained vocabulary of {vocab.size} tokens ({len(vocab.merges)} merges) -> {run.file('vocab.txt')}")
-    run.finalize(args.seed)
     return 0
 
 
@@ -199,22 +199,19 @@ def _pretrain_schedule(family: str, steps: int, toy: bool) -> TrainSchedule:
     return base
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args, run: RunDirectory) -> int:
     for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     batch_size = args.batch_size or (TOY_PROFILE["batch_size"] if args.toy else 8)
     if args.shards < 1 or batch_size % args.shards:
         raise ValueError(f"--shards must be at least 1 and divide the batch size {batch_size}, got {args.shards}")
-    run = RunDirectory(args)
-    run.record_input("config", args.config)
-    run.record_input("corpus", args.corpus)
     cfg = load_config(args.config)
     if args.toy:
         cfg = _apply_toy_profile(cfg)
     docs = datap.read_documents(args.corpus)
     target = TOY_PROFILE["vocab_target"] if args.toy else cfg.vocab_size
-    vocab, trained = _resolve_vocab(args, run, docs, target)
+    vocab, trained = _resolve_vocab(args, docs, target)
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
 
     run.options.update(batch_size=batch_size, resolved_model_config=dataclasses.asdict(cfg))
@@ -250,14 +247,10 @@ def cmd_pretrain(args) -> int:
     first, last = history[0].loss, history[-1].loss
     print(f"pretrained {cfg.family} ({cfg.n_layers} layers, d={cfg.d_layer}) for {args.steps} steps")
     print(f"loss {first:.4f} -> {last:.4f}; artifacts in {run.path}")
-    run.finalize(args.seed)
     return 0
 
 
-def cmd_finetune(args) -> int:
-    run = RunDirectory(args)
-    for role in ("checkpoint", "vocab", "train", "dev"):
-        run.record_input(role, getattr(args, role, None))
+def cmd_finetune(args, run: RunDirectory) -> int:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     vocab = bpe.load_vocab(args.vocab)
     train_set = load_tsv_dataset(args.train)
@@ -281,7 +274,6 @@ def cmd_finetune(args) -> int:
         metrics = evaluate(model, vocab, dev)
         print(_metrics_line(metrics))
         _write_metrics_json(run, metrics)
-    run.finalize(args.seed)
     return 0
 
 
@@ -311,10 +303,7 @@ def _check_label_vocab(labels, n_classes: int, source: str) -> None:
         raise InputError(f"{source} {labels}: {len(labels)} labels for a classifier head of {n_classes} classes")
 
 
-def cmd_eval(args) -> int:
-    run = RunDirectory(args)
-    for role in ("checkpoint", "vocab", "data"):
-        run.record_input(role, getattr(args, role))
+def cmd_eval(args, run: RunDirectory) -> int:
     params, cfg, extra = load_checkpoint(args.checkpoint)
     if "cls.w" not in params:
         raise ValueError(f"{args.checkpoint} has no classifier head; evaluate a fine-tuned checkpoint")
@@ -329,22 +318,21 @@ def cmd_eval(args) -> int:
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
     print(_metrics_line(metrics))
     _write_metrics_json(run, metrics)
-    run.finalize(args.seed)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    run = RunDirectory(args)
-    run.record_input("config", args.config)
+def cmd_sweep(args, run: RunDirectory) -> int:
+    fields = args.depths.split(",")
+    if not all(field.strip().isdecimal() for field in fields):
+        raise ValueError(f"--depths takes comma-separated layer counts >= 0, got {args.depths!r}")
+    depths = [int(field) for field in fields]
+    task_files = (args.train, args.dev, args.vocab)
+    if any(task_files) and not all(task_files):
+        raise ValueError("--train, --dev and --vocab are given together or not at all")
     cfg = load_config(args.config)
     if args.toy:
         cfg = _apply_toy_profile(cfg)
-    depths = [int(d) for d in args.depths.split(",")]
     if args.train:
-        if not (args.dev and args.vocab):
-            raise ValueError("--train needs --dev and --vocab")
-        run.record_input("train", args.train)
-        run.record_input("dev", args.dev)
         train_set = load_tsv_dataset(args.train)
         dev_set = load_tsv_dataset(args.dev, label_vocab=train_set.label_vocab)
         vocab = bpe.load_vocab(args.vocab)
@@ -366,20 +354,16 @@ def cmd_sweep(args) -> int:
             fh.write(render_sweep_csv(name, exc.partial))
         print(f"sweep aborted: {exc}", file=sys.stderr)
         print(f"partial results: {run.file('sweep_partial.csv')}", file=sys.stderr)
-        run.finalize(args.seed)
         return 1
     csv_text = render_sweep_csv(name, result.rows)
     with atomic_write(run.file("sweep.csv")) as fh:
         fh.write(csv_text)
     print(csv_text, end="")
     print(f"best depth by dev accuracy (ties to smaller): {result.best_depth}")
-    run.finalize(args.seed)
     return 0
 
 
-def cmd_cost(args) -> int:
-    run = RunDirectory(args)
-    run.record_input("table", args.table)
+def cmd_cost(args, run: RunDirectory) -> int:
     records = load_cost_records(args.table, peak_rate=args.peak_rate)
     configs = reference_model_configs()
     rows = cost_table(configs, records)
@@ -390,19 +374,15 @@ def cmd_cost(args) -> int:
     with atomic_write(run.file("cost_report.csv")) as fh:
         fh.write(render_cost_csv(rows))
     run.options["table"] = args.table or "<bundled>"
-    run.finalize(args.seed)
     return 0
 
 
-def cmd_count_params(args) -> int:
-    run = RunDirectory(args)
-    run.record_input("config", args.config)
+def cmd_count_params(args, run: RunDirectory) -> int:
     cfg = load_config(args.config)
     total = count_params(cfg)
     run.options["count"] = total
     print(f"{total} parameters ({total:.4g}) for {Path(args.config).stem}: "
           f"{cfg.family}, {cfg.n_layers} layers, d={cfg.d_layer}, vocab={cfg.vocab_size}")
-    run.finalize(args.seed)
     return 0
 
 
@@ -418,34 +398,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    def common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         p.add_argument("--out", help="run directory (default $STACKLM_OUT_ROOT/<command>)")
 
     p = sub.add_parser("tokenize-train", help="train a byte-level BPE vocabulary on a text corpus")
-    p.add_argument("--corpus", required=True, help="plain-text corpus, blank-line separated documents")
+    p.add_argument("--corpus", type=InputFile, required=True, help="plain-text corpus, blank-line separated documents")
     p.add_argument("--vocab-size", type=int, required=True)
     common(p)
     p.set_defaults(fn=cmd_tokenize_train)
 
     p = sub.add_parser("pretrain", help="pretrain a model from a config on a text corpus")
-    p.add_argument("--config", required=True, help="model config file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", help="existing vocabulary file (default: train one)")
+    p.add_argument("--config", type=InputFile, required=True, help="model config file")
+    p.add_argument("--corpus", type=InputFile, required=True)
+    p.add_argument("--vocab", type=InputFile, help="existing vocabulary file (default: train one)")
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--shards", type=int, default=1, help="data-parallel shards, run in parallel on the usable cores")
     p.add_argument("--toy", action="store_true", help="scale the config down to the toy profile")
     p.add_argument("--recompute", action="store_true", help="recompute activations during backward")
     p.add_argument("--no-loss-scaler", action="store_true", help="disable dynamic loss scaling")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune an encoder checkpoint for classification")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--train", required=True, help="TSV with text_a, text_b, label")
-    p.add_argument("--dev", help="optional dev TSV, evaluated after training")
+    p.add_argument("--checkpoint", type=InputFile, required=True)
+    p.add_argument("--vocab", type=InputFile, required=True)
+    p.add_argument("--train", type=InputFile, required=True, help="TSV with text_a, text_b, label")
+    p.add_argument("--dev", type=InputFile, help="optional dev TSV, evaluated after training")
     p.add_argument(
         "--head", choices=HEAD_KINDS, default="pair-classifier",
         help="both run the same classifier head; single-classifier only stops requiring text_b",
@@ -454,39 +435,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--steps", type=int, help="hard step budget (overrides epochs)")
     p.add_argument("--batch-size", type=int, default=16)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--checkpoint", type=InputFile, required=True)
+    p.add_argument("--vocab", type=InputFile, required=True)
+    p.add_argument("--data", type=InputFile, required=True)
     p.add_argument("--positive-label")
     common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="train the same model at several depths and report the best")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=InputFile, required=True)
     p.add_argument("--depths", required=True, help="comma-separated layer counts")
-    p.add_argument("--train", help="TSV train set (default: bundled synthetic task)")
-    p.add_argument("--dev", help="TSV dev set")
-    p.add_argument("--vocab", help="vocabulary file (required with --train)")
+    p.add_argument("--train", type=InputFile, help="TSV train set (default: bundled synthetic task)")
+    p.add_argument("--dev", type=InputFile, help="TSV dev set (required with --train)")
+    p.add_argument("--vocab", type=InputFile, help="vocabulary file (required with --train)")
     p.add_argument("--budget", type=int, default=60, help="fine-tune steps per depth")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--task-examples", type=int, default=64)
     p.add_argument("--toy", action="store_true")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("cost", help="reproduce the published compute accounting")
-    p.add_argument("--table", help="cost CSV (default: bundled reference table)")
+    p.add_argument("--table", type=InputFile, help="cost CSV (default: bundled reference table)")
     p.add_argument("--peak-rate", type=float, default=DEFAULT_PEAK_FLOPS, help="per-device flops/s")
     common(p)
     p.set_defaults(fn=cmd_cost)
 
     p = sub.add_parser("count-params", help="analytic parameter count for a config")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=InputFile, required=True)
     common(p)
     p.set_defaults(fn=cmd_count_params)
 
@@ -496,9 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.runtime = {"malloc": apply_malloc_settings()}
+    runtime = {"malloc": apply_malloc_settings()}
     try:
-        return args.fn(args)
+        run = RunDirectory(args, runtime)
+        status = args.fn(args, run)
+        run.finalize(getattr(args, "seed", None))
+        return status
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"stacklm {args.command}: error: {exc}", file=sys.stderr)
         return 1

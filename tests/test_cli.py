@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -216,6 +217,13 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
            "learning rate must be finite" for rate in ("inf", "nan")},
         **{("cost", "--peak-rate", rate): "peak_rate must be finite" for rate in ("nan", "inf")},
         ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,1"): "runs each depth once",
+        # a depth list that is not layer counts is an error of the flag, quoting what was given
+        **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", depths):
+           f"--depths takes comma-separated layer counts >= 0, got {depths!r}" for depths in ("1,,2", "a", "1,-2")},
+        # a task file without --train would be ignored by the bundled task
+        **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", flag, str(path)):
+           "--train, --dev and --vocab are given together or not at all"
+           for flag, path in (("--dev", tsv), ("--vocab", vocab_path))},
         # fine-tuning checks its dev set before it trains
         ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
          "--dev", str(unseen_tsv)): f"{unseen_tsv}: label '7' not in label vocabulary ['0', '1']",
@@ -284,6 +292,41 @@ def test_truncated_vocab_exits_1_with_one_line_error(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("stacklm pretrain: error:"), err
+
+
+FILE_OPTION_RUNS = [
+    (["tokenize-train", "--vocab-size", "300"], {"corpus": "corpus"}),
+    (["pretrain", "--toy", "--steps", "1"], {"config": "config", "corpus": "corpus", "vocab": "vocab"}),
+    (["finetune", "--steps", "1"], {"checkpoint": "model", "vocab": "vocab", "train": "train", "dev": "dev"}),
+    (["eval"], {"checkpoint": "tuned", "vocab": "vocab", "data": "dev"}),
+    (["sweep", "--toy", "--depths", "1,2", "--budget", "1"],
+     {"config": "config", "train": "train", "dev": "dev", "vocab": "vocab"}),
+    (["cost"], {"table": "table"}),
+    (["count-params"], {"config": "config"}),
+]
+
+
+@pytest.mark.parametrize("argv, file_options", FILE_OPTION_RUNS, ids=[argv[0] for argv, _ in FILE_OPTION_RUNS])
+def test_manifest_hashes_every_file_option(argv, file_options, tmp_path, write_tsv):
+    vocab = bpe.train_bpe("some words repeat words repeat some", 60)
+    cfg = ModelConfig("encoder-only", 1, d_layer=16, n_heads=2, d_head=8, vocab_size=vocab.size, max_seq_len=32)
+    task = make_synthetic_pair_task(8, seed=0)
+    tuned = finetune(build_model(cfg, seed=0), cfg, vocab, task, "pair-classifier", FinetuneSettings(max_steps=0))
+    files = {"corpus": TOY_CORPUS, "config": CONFIGS / "bert-c.cfg", **{
+        name: tmp_path / name for name in ("vocab", "model", "tuned", "train", "dev", "table")}}
+    bpe.save_vocab(vocab, str(files["vocab"]))
+    save_checkpoint(str(files["model"]), build_model(cfg, seed=0), cfg)
+    save_checkpoint(str(files["tuned"]), tuned.params, cfg, extra={"label_vocab": tuned.label_vocab})
+    write_tsv(task, str(files["train"]))
+    write_tsv(make_synthetic_pair_task(8, seed=0, split="dev"), str(files["dev"]))
+    files["table"].write_text("model,time,steps,gpus,reported_eflops\nTINY,1h,1K,1,1.12\n")
+    for option, name in file_options.items():
+        argv = argv + [f"--{option}", str(files[name])]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {
+        option: f"sha256:{hashlib.sha256(files[name].read_bytes()).hexdigest()}" for option, name in file_options.items()
+    }
 
 
 def test_count_params_reference_value(tmp_path, capsys):
