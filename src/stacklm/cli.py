@@ -294,27 +294,22 @@ def _write_metrics_json(run: RunDirectory, metrics) -> None:
         fh.write("\n")
 
 
-def _check_label_vocab(labels, n_classes: int, source: str) -> None:
-    """Rejects labels that are not distinct strings, one per class of the classifier head."""
-    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
-            and len(set(labels)) == len(labels)):
-        raise InputError(f"{source} must be a list of distinct strings, got {labels!r}")
-    if len(labels) != n_classes:
-        raise InputError(f"{source} {labels}: {len(labels)} labels for a classifier head of {n_classes} classes")
-
-
 def cmd_eval(args, run: RunDirectory) -> int:
     params, cfg, extra = load_checkpoint(args.checkpoint)
     if "cls.w" not in params:
         raise ValueError(f"{args.checkpoint} has no classifier head; evaluate a fine-tuned checkpoint")
     vocab = bpe.load_vocab(args.vocab)
-    n_classes = params["cls.w"].shape[-1]
-    label_vocab = extra.get("label_vocab")
-    if label_vocab is not None:
-        _check_label_vocab(label_vocab, n_classes, f"{args.checkpoint}'s label vocabulary")
-    dataset = load_tsv_dataset(args.data, label_vocab=label_vocab)
-    _check_label_vocab(dataset.label_vocab, n_classes, f"the labels of {args.data}")
-    model = FinetunedModel(params, cfg, dataset.label_vocab, [])
+    if "label_vocab" not in extra:
+        raise ValueError(f"{args.checkpoint} has no label vocabulary; evaluate a checkpoint that finetune wrote")
+    labels, n_classes = extra["label_vocab"], params["cls.w"].shape[-1]
+    source = f"{args.checkpoint}'s label vocabulary"
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+            and len(set(labels)) == len(labels)):
+        raise InputError(f"{source} must be a list of distinct strings, got {labels!r}")
+    if len(labels) != n_classes:
+        raise InputError(f"{source} {labels}: {len(labels)} labels for a classifier head of {n_classes} classes")
+    dataset = load_tsv_dataset(args.data, label_vocab=labels)
+    model = FinetunedModel(params, cfg, labels, [])
     metrics = evaluate(model, vocab, dataset, positive_label=args.positive_label)
     print(_metrics_line(metrics))
     _write_metrics_json(run, metrics)
@@ -329,6 +324,8 @@ def cmd_sweep(args, run: RunDirectory) -> int:
     task_files = (args.train, args.dev, args.vocab)
     if any(task_files) and not all(task_files):
         raise ValueError("--train, --dev and --vocab are given together or not at all")
+    if args.train and args.task_examples is not None:
+        raise ValueError("--task-examples sizes the bundled task and is not given with --train, --dev and --vocab")
     cfg = load_config(args.config)
     if args.toy:
         cfg = _apply_toy_profile(cfg)
@@ -338,8 +335,9 @@ def cmd_sweep(args, run: RunDirectory) -> int:
         vocab = bpe.load_vocab(args.vocab)
     else:
         # bundled synthetic task so the sweep procedure runs out of the box
-        train_set = make_synthetic_pair_task(args.task_examples, seed=args.seed, split="train")
-        dev_set = make_synthetic_pair_task(max(8, args.task_examples // 4), seed=args.seed, split="dev")
+        examples = run.options["task_examples"] = 64 if args.task_examples is None else args.task_examples
+        train_set = make_synthetic_pair_task(examples, seed=args.seed, split="train")
+        dev_set = make_synthetic_pair_task(max(8, examples // 4), seed=args.seed, split="dev")
         vocab = synthetic_task_vocab()
     cfg = dataclasses.replace(cfg, vocab_size=vocab.size)
     settings = FinetuneSettings(
@@ -455,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=60, help="fine-tune steps per depth")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--task-examples", type=int, default=64)
+    p.add_argument("--task-examples", type=int, help="train examples of the bundled task (default 64; not with --train)")
     p.add_argument("--toy", action="store_true")
     common(p, seeded=True)
     p.set_defaults(fn=cmd_sweep)

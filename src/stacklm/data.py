@@ -64,22 +64,21 @@ class PackedSequenceBatch:
 
 @dataclass
 class MaskingPolicy:
-    """Whole-word n-gram corruption settings."""
+    """Whole-word n-gram corruption settings: a chosen token becomes the mask
+    token with ``mask_prob``, a random token with ``random_prob``, else stays."""
 
     corruption_rate: float = 0.15
     ngram_max: int = 3
     mask_prob: float = 0.8
     random_prob: float = 0.1
-    keep_prob: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.corruption_rate < 1.0:
             raise DataError(f"corruption_rate must lie in (0, 1), got {self.corruption_rate}")
         if self.ngram_max < 1:
             raise DataError("ngram_max must be at least 1")
-        total = self.mask_prob + self.random_prob + self.keep_prob
-        if abs(total - 1.0) > 1e-9:
-            raise DataError(f"action probabilities must sum to 1, got {total}")
+        if not (self.mask_prob >= 0.0 and self.random_prob >= 0.0 and self.mask_prob + self.random_prob <= 1.0):
+            raise DataError(f"mask_prob {self.mask_prob} and random_prob {self.random_prob} must be >= 0 with a sum <= 1")
 
 
 # ---------------------------------------------------------------------------

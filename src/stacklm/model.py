@@ -410,7 +410,7 @@ def forward(
 ) -> ModelOutput:
     """Run the stack for one batch of token ids.
 
-    ``ids`` is (batch, seq) or (seq,); for encoder-decoder models it is the
+    ``ids`` is (batch, seq); for encoder-decoder models it is the
     decoder input and ``source_ids`` feeds the encoder.  ``type_ids`` and
     ``attention_mask`` have the shape of ``ids``, ``source_attention_mask``
     that of ``source_ids``; a mask marks real positions with 1 (padding 0).
@@ -433,13 +433,12 @@ def forward(
         raise InputError("a fine-tuned encoder has no vocabulary head to score positions with")
     if cfg.family == "encoder-decoder" and source_ids is None:
         raise InputError("encoder-decoder forward needs source_ids")
-    squeeze = np.ndim(ids) == 1
-    ids, source_ids, type_ids, attention_mask, source_attention_mask = (
-        None if a is None else np.asarray(a)[None] if squeeze else np.asarray(a)
-        for a in (ids, source_ids, type_ids, attention_mask, source_attention_mask)
-    )
     for what, a in (("sequence", ids), ("source", source_ids)):
-        if a is not None and a.shape[1] > cfg.max_seq_len:
+        if a is None:
+            continue
+        if a.ndim != 2:
+            raise InputError(f"{what} ids must be a (batch, length) array, got shape {a.shape}")
+        if a.shape[1] > cfg.max_seq_len:
             raise InputError(f"{what} length {a.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
     if mode == "eval":
         rng = None
@@ -481,8 +480,6 @@ def forward(
             logits = _linear(pooled, params, "cls")
         else:
             sop_logits = _linear(pooled, params, "sop")
-    if squeeze and positions is None:
-        logits = T.reshape(logits, logits.shape[1:])
     return ModelOutput(logits, sop_logits, pooled, positions)
 
 

@@ -171,10 +171,6 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcasted gradient back to ``shape`` (trailing-aligned)."""
     extra = grad.ndim - len(shape)
@@ -191,10 +187,9 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; ``b`` may be a same-shape tensor, a trailing-aligned
-    bias, or a constant array broadcastable against ``a`` (mask add)."""
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; ``b`` is a same-shape tensor or one that broadcasts
+    against ``a`` trailing-aligned, such as a bias."""
     out = a.data + b.data
     if out.shape != a.data.shape:
         raise ShapeError(f"add result shape {out.shape} must match left operand {a.data.shape}")
@@ -205,9 +200,8 @@ def add(a: Tensor, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with the same broadcasting contract as ``add``."""
-    b = _as_tensor(b)
     out = a.data * b.data
     if out.shape != a.data.shape:
         raise ShapeError(f"mul result shape {out.shape} must match left operand {a.data.shape}")
@@ -520,16 +514,13 @@ class DropoutRng:
     _DOMAIN = 0x51AC  # keeps dropout draws disjoint from init/masking draws
 
     def __init__(self, seed: int, step: int, example_ids: Sequence[int]):
-        self.seed = int(seed)
-        self.step = int(step)
-        self.example_ids = [int(e) for e in example_ids]
-        base = _fold(self._DOMAIN, self.seed, self.step)
-        self._row_keys = [_fold(base, ex) for ex in self.example_ids]
+        base = _fold(self._DOMAIN, int(seed), int(step))
+        self._row_keys = [_fold(base, int(ex)) for ex in example_ids]
 
     def keep_mask(self, layer: int, slot: int, shape: tuple[int, ...], p: float) -> np.ndarray:
         """Float32 inverted-dropout mask: 0 or ``1 / (1 - p)`` per element."""
-        if len(shape) < 2 or shape[0] != len(self.example_ids):
-            raise ShapeError(f"dropout input leading dim {shape[:1]} must match {len(self.example_ids)} example rows")
+        if len(shape) < 2 or shape[0] != len(self._row_keys):
+            raise ShapeError(f"dropout input leading dim {shape[:1]} must match {len(self._row_keys)} example rows")
         keys = np.array([_fold(k, layer, slot) >> 32 for k in self._row_keys], dtype=np.uint32)
         counters = np.arange(math.prod(shape[1:]), dtype=np.uint32) * _GOLDEN32
         words = _lowbias32(keys[:, None] + counters)
@@ -600,7 +591,7 @@ def softmax_cross_entropy(
 # ---------------------------------------------------------------------------
 
 
-def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     """Run ``fn`` discarding intermediate activations; recompute on backward.
 
     The forward pass executes ``fn`` unrecorded (values only).  The tape
@@ -612,21 +603,21 @@ def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
     """
     tape = _ACTIVE_TAPE
     if tape is None:
-        return fn(*inputs)
+        return fn(x)
     with no_recording():
-        primary = fn(*inputs)
+        primary = fn(x)
 
     def backward(g):
-        proxies = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        proxy = Tensor(x.data, requires_grad=x.requires_grad)
         with Tape() as sub:
-            replay = fn(*proxies)
+            replay = fn(proxy)
         if not np.array_equal(replay.data, primary.data):
             raise RuntimeError("recomputed activations disagree with the original forward pass")
         sub.backward(replay, seed_grad=g)
-        return tuple(p.grad for p in proxies)
+        return (proxy.grad,)
 
     # Recorded unconditionally: fn usually closes over parameters that
-    # require gradients even when the explicit inputs do not.
+    # require gradients even when ``x`` does not.
     out = Tensor(primary.data, requires_grad=True)
-    tape.record(tuple(inputs), out, backward)
+    tape.record((x,), out, backward)
     return out

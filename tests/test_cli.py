@@ -224,6 +224,10 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", flag, str(path)):
            "--train, --dev and --vocab are given together or not at all"
            for flag, path in (("--dev", tsv), ("--vocab", vocab_path))},
+        # and so would the bundled task's size beside the task files
+        ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--train", str(tsv),
+         "--dev", str(tsv), "--vocab", str(vocab_path), "--task-examples", "5"):
+            "--task-examples sizes the bundled task and is not given with --train, --dev and --vocab",
         # fine-tuning checks its dev set before it trains
         ("finetune", "--checkpoint", str(tmp_path / "model.npz"), "--vocab", str(vocab_path), "--train", str(tsv),
          "--dev", str(unseen_tsv)): f"{unseen_tsv}: label '7' not in label vocabulary ['0', '1']",
@@ -257,7 +261,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         cases.append(["count-params", "--config", str(bad)])
     for bad in bad_evals:
         cases.append(["eval", "--checkpoint", str(bad), "--vocab", str(vocab_path), "--data", str(tsv)])
-    # label vocabularies that are not distinct strings, one per class of the 2-class head; every label here is "0"
+    # label vocabularies that are not distinct strings, one per class of the 2-class head, and none at all
     zeros_tsv = tmp_path / "zeros.tsv"
     zeros_tsv.write_text("text_a\ttext_b\tlabel\nsome words\trepeat\t0\nwords repeat\tsome\t0\n")
     for i, label_vocab in enumerate((5, ["0"], None, ["0", "1", "2"], "01", ["0", "0"])):
@@ -265,6 +269,8 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
                         extra={} if label_vocab is None else {"label_vocab": label_vocab})
         cases.append(["eval", "--checkpoint", str(tmp_path / f"labels{i}.npz"), "--vocab", str(vocab_path),
                       "--data", str(zeros_tsv)])
+        if label_vocab is None:
+            named[tuple(cases[-1])] = f"{tmp_path / f'labels{i}.npz'} has no label vocabulary"
     for i, argv in enumerate(cases):
         rc = main(argv + ["--out", str(tmp_path / f"run{i}")])
         assert rc == 1, argv
@@ -504,15 +510,16 @@ def test_sweep_bundled_task(tmp_path, capsys):
 
 def test_sweep_manifest_records_every_option(tmp_path):
     options = []
-    for examples in ("16", "48"):
-        out = tmp_path / examples
+    # the manifest records the bundled task's size that the run used, also the default one
+    for i, examples in enumerate((["--task-examples", "16"], [])):
+        out = tmp_path / str(i)
         rc = main([
             "sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2",
-            "--budget", "1", "--task-examples", examples, "--out", str(out),
+            "--budget", "1", *examples, "--out", str(out),
         ])
         assert rc == 0
         options.append(json.loads((out / "manifest.json").read_text())["options"])
-    assert options[0]["task_examples"] == 16 and options[1]["task_examples"] == 48
+    assert options[0]["task_examples"] == 16 and options[1]["task_examples"] == 64
     assert options[0]["settings"] == options[1]["settings"]
 
 

@@ -146,7 +146,7 @@ def test_default_policy_action_split(vocab):
     expected = {
         "mask": policy.mask_prob,
         "changed": policy.random_prob * (1 - 1 / content),
-        "unchanged": policy.keep_prob + policy.random_prob / content,
+        "unchanged": 1 - policy.mask_prob - policy.random_prob + policy.random_prob / content,
     }
     changed = (after != before) & (after != vocab.mask_id)
     observed = {
@@ -161,7 +161,7 @@ def test_default_policy_action_split(vocab):
 
 def test_exact_word_count_masked(vocab):
     # four single-token words, rate 0.5, unigrams, mask action only
-    policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
+    policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0)
     base = 5
     row = [base, vocab.splitter_id, base + 1, vocab.splitter_id, base + 2, vocab.splitter_id, base + 3]
     for seed in range(25):
@@ -176,7 +176,7 @@ def test_exact_word_count_masked(vocab):
 
 def test_multi_token_words_never_split(vocab):
     # words of width 3: every chosen word masks all 3 positions
-    policy = MaskingPolicy(corruption_rate=0.4, ngram_max=2, mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
+    policy = MaskingPolicy(corruption_rate=0.4, ngram_max=2, mask_prob=1.0, random_prob=0.0)
     row = [5, 6, 7, vocab.splitter_id, 8, 9, 10, vocab.splitter_id, 11, 12, 13]
     for seed in range(25):
         batch = batch_of([row])
@@ -211,13 +211,17 @@ def test_masking_policy_validation():
     with pytest.raises(DataError):
         MaskingPolicy(corruption_rate=0.0)
     with pytest.raises(DataError):
-        MaskingPolicy(mask_prob=0.9, random_prob=0.2, keep_prob=0.1)
-    with pytest.raises(DataError):
         MaskingPolicy(ngram_max=0)
+    # the unchanged share is what the mask and random shares leave: each share >= 0, their sum <= 1
+    for mask_prob, random_prob in ((1.2, -0.1), (0.7, 0.4), (-0.1, 0.5), (0.9, 0.2), (float("nan"), 0.1)):
+        with pytest.raises(DataError, match="must be >= 0 with a sum <= 1"):
+            MaskingPolicy(mask_prob=mask_prob, random_prob=random_prob)
+    for mask_prob, random_prob in ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.8, 0.1)):
+        MaskingPolicy(mask_prob=mask_prob, random_prob=random_prob)
 
 
 def test_mlm_targets_hold_original_ids(vocab):
-    policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0, keep_prob=0.0)
+    policy = MaskingPolicy(corruption_rate=0.5, ngram_max=1, mask_prob=1.0, random_prob=0.0)
     row = [5, vocab.splitter_id, 6, vocab.splitter_id, 7, vocab.splitter_id, 8]
     batch = batch_of([row])
     out = apply_whole_word_ngram_mask(batch, policy, vocab, [np.random.default_rng(4)])

@@ -46,8 +46,8 @@ def tiny(family, n_layers=2, vocab=13, **kw):
 def test_minimal_decoder_logit_shape():
     cfg = ModelConfig("decoder-only", 1, d_layer=4, n_heads=1, d_head=4, vocab_size=11, max_seq_len=8, dropout_p=0.0)
     params = build_model(cfg, seed=0)
-    out = forward(params, cfg, np.array([1, 2, 3]))
-    assert out.logits.shape == (3, 11)
+    out = forward(params, cfg, np.array([[1, 2, 3]]))
+    assert out.logits.shape == (1, 3, 11)
 
 
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
@@ -234,20 +234,22 @@ def test_overlong_sequence_rejected():
 
 
 @pytest.mark.parametrize("family", ["decoder-only", "encoder-only", "encoder-decoder"])
-def test_one_dimensional_call_matches_batched_row(family):
+def test_forward_takes_batches_only(family):
     cfg = tiny(family, n_layers=2, dropout_p=0.0)
     params = build_model(cfg, seed=6)
-    ids, keep = np.array([3, 1, 4, 1, 5]), np.array([1, 1, 1, 1, 0])
-    kwargs = dict(
-        type_ids=np.array([0, 0, 1, 1, 1]), attention_mask=keep,
-        source_ids=np.array([9, 2, 6, 5, 3]), source_attention_mask=keep,
-    )
-    single = forward(params, cfg, ids, **kwargs)
-    batched = forward(params, cfg, ids[None], **{name: a[None] for name, a in kwargs.items()})
-    assert np.array_equal(single.logits.data, batched.logits.data[0])
+    ids = np.array([[3, 1, 4, 1, 5]])
+    source = {"source_ids": ids} if family == "encoder-decoder" else {}
+    assert forward(params, cfg, ids, **source).logits.shape == (1, 5, cfg.vocab_size)
+    for bad in (ids[0], ids[None]):
+        message = f"sequence ids must be a (batch, length) array, got shape {bad.shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            forward(params, cfg, bad, **source)
+        if family == "encoder-decoder":
+            with pytest.raises(InputError, match="source ids must be a"):
+                forward(params, cfg, ids, source_ids=bad)
     if family == "encoder-decoder":
-        with pytest.raises(InputError):
-            forward(params, cfg, ids, source_ids=np.zeros(cfg.max_seq_len + 1, dtype=int))
+        with pytest.raises(InputError, match=f"source length {cfg.max_seq_len + 1} exceeds"):
+            forward(params, cfg, ids, source_ids=np.zeros((1, cfg.max_seq_len + 1), dtype=int))
 
 
 def test_train_mode_needs_rng_when_dropout_active():

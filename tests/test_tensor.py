@@ -558,7 +558,7 @@ def _primitive_cases(dtype):
     ids = np.array([[0, 2, 1], [3, 3, 0]])
     return {
         "add": (lambda a, b: T.add(a, b), [arr(2, 3, 4), arr(4)]),
-        "add_mask": (lambda a: T.add(a, causal), [arr(2, 4, 4)]),
+        "add_mask": (lambda a: T.add(a, Tensor(causal)), [arr(2, 4, 4)]),
         "mul": (lambda a, b: T.mul(a, b), [arr(2, 3), arr(2, 3)]),
         "scale": (lambda a: T.scale(a, 0.125), [arr(2, 3)]),
         "matmul": (lambda a, b: T.matmul(a, b), [arr(2, 3, 4), arr(4, 5)]),
