@@ -275,6 +275,12 @@ def predict(model: FinetunedModel, vocab: TokenizerVocab, dataset: Classificatio
     return outputs
 
 
+def _check_scored_labels(dataset: ClassificationDataset, labels: list[str]) -> None:
+    """A model predicts ids into its own label vocabulary, so it scores only a dataset labelled from it."""
+    if dataset.label_vocab != labels:
+        raise InputError(f"{dataset.source}: label vocabulary {dataset.label_vocab} is not the model's {labels}")
+
+
 def evaluate(
     model: FinetunedModel,
     vocab: TokenizerVocab,
@@ -283,9 +289,11 @@ def evaluate(
 ) -> EvalMetrics:
     """Confusion-matrix metrics; precision/recall/F1 for binary labels only.
 
-    ``positive_label`` must be one of the labels, and only a binary label
-    vocabulary takes one; anything else raises ``InputError``.
+    ``dataset`` must be labelled from the model's label vocabulary, in the
+    same order.  ``positive_label`` must be one of the labels, and only a
+    binary label vocabulary takes one; anything else raises ``InputError``.
     """
+    _check_scored_labels(dataset, model.label_vocab)
     labels = dataset.label_vocab
     if positive_label is not None:
         if positive_label not in labels:
@@ -354,6 +362,7 @@ def depth_sweep(
         raise ConfigError(f"a depth sweep runs each depth once, got {', '.join(map(str, depths))}")
     configs = [replace(base_cfg, n_layers=depth) for depth in depths]
     _check_finetune_inputs(base_cfg, vocab, train_set, head)
+    _check_scored_labels(dev_set, train_set.label_vocab)
     rows: list[tuple[int, EvalMetrics]] = []
     for depth, cfg in zip(depths, configs):
         try:

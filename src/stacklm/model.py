@@ -233,9 +233,7 @@ class ModelParams:
         self.table = {name: (offsets[name], tuple(shape)) for name, shape in shapes.items()}
         self.segments = {"decayed": slice(0, n_decayed), "undecayed": slice(n_decayed, end)}
         self.flat = mapped_zeros((end,), dtype)
-        self.tensors = {
-            name: Tensor(view, requires_grad=True, name=name) for name, view in self.views(self.flat).items()
-        }
+        self.tensors = {name: Tensor(view) for name, view in self.views(self.flat).items()}
 
     def reset(self, shapes: dict[str, tuple[int, ...]], kept: dict[str, Tensor]) -> None:
         """Lay out ``shapes`` in a new arena of this object's dtype and copy each tensor of ``kept`` into its view.

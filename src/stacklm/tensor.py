@@ -7,11 +7,14 @@ backward pass can pop them in exact reverse order, freeing each node's saved
 activations and output gradient as it goes.  Broadcasting is limited to the
 patterns a transformer needs (trailing-dimension bias adds and constant mask
 adds).
+
+The recording rule has no exceptions: while a tape is active, every
+primitive applied is recorded, and ``Tape.backward`` fills ``grad`` on every
+input it reaches.  With no active tape nothing is recorded.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Optional, Sequence
 
@@ -35,22 +38,20 @@ class Tensor:
     """A dense array plus its gradient slot.
 
     ``data`` is always a numpy float array; ``grad`` is filled in (same
-    shape) by ``Tape.backward`` for tensors with ``requires_grad``.  The
-    first gradient is a fresh array, or is written into ``grad_buffer``
+    shape) by ``Tape.backward`` on every tensor the backward pass reaches.
+    The first gradient is a fresh array, or is written into ``grad_buffer``
     when one is set (a parameter's slot in an arena of gradients).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_buffer", "name")
+    __slots__ = ("data", "grad", "grad_buffer")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.grad_buffer: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,29 +73,22 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
-
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 class Tape:
     """Ordered record of primitive applications for one backward pass.
 
-    Nodes are appended in execution order; ``backward`` pops them in exact
-    reverse order, a reverse topological order of the recorded graph, and
-    drops each one once it has run.  A tape is single-use.
+    While the tape is active (``with Tape() as tape:``), every primitive
+    applied appends one node ``(inputs, output, backward_fn)``, whatever
+    its inputs.  ``backward`` pops the nodes in exact reverse order, a
+    reverse topological order of the recorded graph, fills ``grad`` on
+    every input it reaches and drops each node once it has run.  A tape
+    is single-use.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -109,7 +103,7 @@ class Tape:
         return False
 
     def record(self, inputs, output: Tensor, backward_fn) -> None:
-        self._nodes.append(_Node(tuple(inputs), output, backward_fn))
+        self._nodes.append((tuple(inputs), output, backward_fn))
 
     def backward(self, root: Tensor, seed_grad: Optional[np.ndarray] = None) -> None:
         """Propagate gradients from ``root`` back through every recorded node.
@@ -124,30 +118,15 @@ class Tape:
             seed_grad = np.ones_like(root.data)
         _accumulate(root, np.asarray(seed_grad, dtype=root.dtype))
         while self._nodes:
-            node = self._nodes.pop()
-            upstream = node.output.grad
-            if upstream is None:
+            inputs, output, backward_fn = self._nodes.pop()
+            if output.grad is None:
                 continue
-            grads = node.backward_fn(upstream)
-            for tensor, grad in zip(node.inputs, grads):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                _accumulate(tensor, grad)
+            for tensor, grad in zip(inputs, backward_fn(output.grad)):
+                if grad is not None:
+                    _accumulate(tensor, grad)
 
 
 _ACTIVE_TAPE: Optional[Tape] = None
-
-
-@contextlib.contextmanager
-def no_recording():
-    """Run forward code without recording onto any tape."""
-    global _ACTIVE_TAPE
-    prev = _ACTIVE_TAPE
-    _ACTIVE_TAPE = None
-    try:
-        yield
-    finally:
-        _ACTIVE_TAPE = prev
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -163,11 +142,9 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
-    tape = _ACTIVE_TAPE
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        tape.record(inputs, out, backward_fn)
+    out = Tensor(out_data)
+    if _ACTIVE_TAPE is not None:
+        _ACTIVE_TAPE.record(inputs, out, backward_fn)
     return out
 
 
@@ -545,8 +522,8 @@ def softmax_cross_entropy(
 
     ``logits`` is (..., V); ``targets`` holds integer ids of shape
     logits.shape[:-1]; ``mask`` is a same-shape weight array (defaults to
-    all ones).  Positions with zero weight contribute nothing.  An all-zero
-    mask yields a zero loss with zero gradient.  ``normalizer`` overrides
+    all ones).  Positions with zero weight contribute nothing.  A zero total
+    weight yields a zero loss with zero gradient.  ``normalizer`` overrides
     the denominator (the mask sum) so a batch shard can be normalized by
     the full-batch weight.
     """
@@ -568,12 +545,7 @@ def softmax_cross_entropy(
     nll = -flat_lp[np.arange(flat_t.size), flat_t].reshape(targets.shape)
     total_weight = float(mask.sum()) if normalizer is None else float(normalizer)
     if total_weight == 0.0:
-        loss = np.asarray(0.0, dtype=logits.dtype)
-
-        def backward_zero(g):
-            return (np.zeros_like(logits.data),)
-
-        return _record((logits,), loss, backward_zero)
+        mask, total_weight = np.zeros_like(mask), 1.0
     loss = np.asarray((nll * mask).sum() / total_weight, dtype=logits.dtype)
 
     def backward(g):
@@ -601,14 +573,18 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     would have on the flat tape, so results are bit-identical provided
     ``fn`` draws randomness from counter-based streams only.
     """
+    global _ACTIVE_TAPE
     tape = _ACTIVE_TAPE
     if tape is None:
         return fn(x)
-    with no_recording():
+    _ACTIVE_TAPE = None
+    try:
         primary = fn(x)
+    finally:
+        _ACTIVE_TAPE = tape
 
     def backward(g):
-        proxy = Tensor(x.data, requires_grad=x.requires_grad)
+        proxy = Tensor(x.data)
         with Tape() as sub:
             replay = fn(proxy)
         if not np.array_equal(replay.data, primary.data):
@@ -616,8 +592,6 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
         sub.backward(replay, seed_grad=g)
         return (proxy.grad,)
 
-    # Recorded unconditionally: fn usually closes over parameters that
-    # require gradients even when ``x`` does not.
-    out = Tensor(primary.data, requires_grad=True)
+    out = Tensor(primary.data)
     tape.record((x,), out, backward)
     return out

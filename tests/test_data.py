@@ -316,7 +316,7 @@ def test_lm_loss_needs_targets():
 
 def test_mlm_loss_invariant_to_unmasked_logits():
     rng = np.random.default_rng(1)
-    logits = Tensor(rng.normal(size=(1, 3, 5)), requires_grad=True)
+    logits = Tensor(rng.normal(size=(1, 3, 5)))
     batch = PackedSequenceBatch(
         ids=np.zeros((1, 3), dtype=np.int64),
         loss_mask=np.array([[0.0, 1.0, 0.0]]),
@@ -338,7 +338,7 @@ def test_empty_mask_counts_and_zero_loss():
         example_ids=np.array([0]),
         targets=np.zeros((1, 3), dtype=np.int64),
     )
-    logits = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)), requires_grad=True)
+    logits = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)))
     with Tape() as tape:
         loss = objectives.mlm_loss(logits, batch)
     tape.backward(loss)

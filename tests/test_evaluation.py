@@ -335,6 +335,21 @@ def test_positive_label_must_be_a_label_of_a_binary_task(vocab):
     assert evaluate(model, vocab, two, positive_label="0").confusion == {"tp": 4, "fp": 4, "fn": 0, "tn": 0}
 
 
+def test_evaluate_scores_only_under_the_models_label_vocabulary(vocab):
+    cfg = encoder_cfg(vocab, n_layers=1)
+    two = make_synthetic_pair_task(8, seed=0)
+    model = finetune(build_model(cfg, seed=0), cfg, vocab, two, "pair-classifier", FinetuneSettings(max_steps=0))
+    swapped = ClassificationDataset(two.examples, "dev.tsv", ["1", "0"])
+    ones = ClassificationDataset([ex for ex in two.examples if ex.label == "1"], "dev.tsv", ["1"])
+    for dev in (swapped, ones):
+        message = "^" + re.escape(f"dev.tsv: label vocabulary {dev.label_vocab} is not the model's ['0', '1']") + "$"
+        with pytest.raises(InputError, match=message):
+            evaluate(model, vocab, dev)
+        # found before the first depth, not reported as that depth's failure
+        with pytest.raises(InputError, match=message):
+            depth_sweep(cfg, [1, 2], vocab, two, dev, FinetuneSettings(max_steps=0))
+
+
 # ---------------------------------------------------------------------------
 # depth sweep
 # ---------------------------------------------------------------------------

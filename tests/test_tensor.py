@@ -31,7 +31,7 @@ def finite_difference(fn, arrays, wrt, h=1e-5):
 
 def analytic_grads(fn, arrays):
     """Tape gradient of scalar fn(*tensors) w.r.t. every input array."""
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tensors = [Tensor(a.copy()) for a in arrays]
     with Tape() as tape:
         loss = fn(*tensors)
     tape.backward(loss)
@@ -180,7 +180,7 @@ def test_cross_entropy_target_out_of_range():
 
 
 def test_cross_entropy_all_zero_mask_is_zero_loss():
-    logits = Tensor(rng(7).normal(size=(2, 4)), requires_grad=True)
+    logits = Tensor(rng(7).normal(size=(2, 4)))
     with Tape() as tape:
         loss = T.softmax_cross_entropy(logits, np.array([0, 1]), np.zeros(2))
     assert loss.item() == 0.0
@@ -246,7 +246,7 @@ def test_embedding_gradient_is_scatter_add():
     ids = np.array([1, 3, 1])
     upstream = g.normal(size=(3, 3))
 
-    t = Tensor(table.copy(), requires_grad=True)
+    t = Tensor(table.copy())
     with Tape() as tape:
         looked = T.embedding_lookup(t, ids)
         loss = T.sum_all(T.mul(looked, Tensor(upstream)))
@@ -352,7 +352,7 @@ def test_dropout_gradcheck_fixed_mask():
 
 
 def test_backward_twice_is_an_error():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones(3))
     with Tape() as tape:
         loss = T.sum_all(x)
     tape.backward(loss)
@@ -360,9 +360,22 @@ def test_backward_twice_is_an_error():
         tape.backward(loss)
 
 
+def test_active_tape_records_every_primitive(monkeypatch):
+    x, c = Tensor(np.array([1.0, -2.0, 3.0])), Tensor(np.array([0.5, 4.0, -1.0]))
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(x, c))
+    assert len(tape._nodes) == 2
+    tape.backward(loss)
+    assert np.array_equal(x.grad, c.data) and np.array_equal(c.grad, x.data)
+    monkeypatch.setattr(Tape, "record", lambda *args: pytest.fail("recorded with no active tape"))
+    x, c = Tensor(x.data), Tensor(c.data)
+    assert T.sum_all(T.mul(x, c)).item() == -10.5
+    assert x.grad is None and c.grad is None
+
+
 def test_backward_releases_consumed_nodes():
     # Tensor has __slots__ and no weakref slot, so watch an intermediate's array
-    x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+    x = Tensor(np.linspace(-1.0, 1.0, 5))
     with Tape() as tape:
         h = T.gelu(x)
         loss = T.sum_all(h)
@@ -379,7 +392,7 @@ def test_backward_linearity():
     x_data = g.normal(size=(3, 3))
 
     def run(which):
-        x = Tensor(x_data.copy(), requires_grad=True)
+        x = Tensor(x_data.copy())
         with Tape() as tape:
             a = T.sum_all(T.gelu(x))
             b = T.sum_all(T.mul(x, x))
@@ -393,7 +406,7 @@ def test_backward_linearity():
 def test_repeated_runs_bit_identical():
     def run():
         g = np.random.default_rng(99)
-        x = Tensor(g.normal(size=(4, 4)), requires_grad=True)
+        x = Tensor(g.normal(size=(4, 4)))
         stream = T.DropoutRng(seed=5, step=2, example_ids=[0, 1, 2, 3])
         with Tape() as tape:
             h = T.dropout(T.gelu(x), 0.3, stream, 0, 0)
@@ -421,8 +434,8 @@ def test_checkpoint_matches_plain_backward_bitwise():
         return fn
 
     def run(use_checkpoint):
-        x = Tensor(x_data.copy(), requires_grad=True)
-        w = Tensor(w_data.copy(), requires_grad=True)
+        x = Tensor(x_data.copy())
+        w = Tensor(w_data.copy())
         stream = T.DropoutRng(seed=1, step=0, example_ids=[0, 1])
         fn = block(w, stream)
         with Tape() as tape:
@@ -578,6 +591,7 @@ def _primitive_cases(dtype):
             lambda a: T.softmax_cross_entropy(a, ids, np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])),
             [arr(2, 3, 4)],
         ),
+        "softmax_cross_entropy_zero_mask": (lambda a: T.softmax_cross_entropy(a, ids, np.zeros((2, 3))), [arr(2, 3, 4)]),
         "softmax_cross_entropy_normalized": (
             lambda a: T.softmax_cross_entropy(a, ids, normalizer=12.0),
             [arr(2, 3, 4)],
@@ -590,7 +604,7 @@ def _primitive_cases(dtype):
 @pytest.mark.parametrize("prim", sorted(_primitive_cases(np.float64)))
 def test_primitive_preserves_dtype_forward_and_backward(prim, dtype):
     fn, arrays = _primitive_cases(dtype)[prim]
-    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    inputs = [Tensor(a) for a in arrays]
     with _RecordingTape() as tape:
         out = fn(*inputs)
     assert out.dtype == dtype, f"{prim} forward returned {out.dtype}"
