@@ -117,6 +117,17 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: an integer >= 0, the range numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"takes an integer >= 0, got {text!r}")
+    return seed
+
+
 class InputFile(str):
     """The type of a parser option that names a file the command reads; the manifest hashes it."""
 
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seeded=False):
         if seeded:
-            p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+            p.add_argument("--seed", type=_seed, default=0, help="run seed (default 0)")
         p.add_argument("--out", help="run directory (default $STACKLM_OUT_ROOT/<command>)")
 
     p = sub.add_parser("tokenize-train", help="train a byte-level BPE vocabulary on a text corpus")

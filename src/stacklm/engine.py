@@ -22,12 +22,13 @@ parameter that the loss does not reach is rejected.
 
 Parameters, gradients and Adam moments lie in the arena: the flat
 parameter buffer of ``ModelParams`` and, laid out the same way, the
-gradient and moment buffers of ``OptimizerState``.  The first shard's
-backward writes each parameter's gradient straight into the arena, and
-each later shard's lands in a buffer laid out like it and is added with
-one flat add.  The update then runs over the arena's two weight-decay
-segments: clip sums the squares in arena order (decayed tensors first), a
-chunk at a time, and Adam updates in place.
+gradient and moment buffers of ``OptimizerState``.  Only the engine puts
+gradients there: after a shard's backward it copies each parameter's
+gradient into a buffer laid out like the arena (the arena itself for the
+first shard) and adds each later shard's with one flat add.  The update
+then runs over the arena's two weight-decay segments: clip sums the
+squares in arena order (decayed tensors first), a chunk at a time, and
+Adam updates in place.
 
 Shards run on the machine's cores.  A step with more than one shard uses
 ``shard_processes(n_shards)`` processes: as many as the usable cores hold
@@ -149,31 +150,35 @@ def shard_processes(n_shards: int) -> int:
 
 
 def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, step: int, scale: float,
-                shard: PackedSequenceBatch, batch: PackedSequenceBatch, grads: dict[str, np.ndarray]) -> float:
-    """Forward and backward of one shard: its loss; ``scale`` times each gradient is written into ``grads``."""
-    params.route_grads(grads)
-    try:
-        rng = DropoutRng(cfg.seed, step, shard.example_ids)
-        with Tape() as tape:
-            out = forward(
-                params, model_cfg, shard.ids, mode="train", rng=rng,
-                recompute=cfg.recompute_activations,
-                type_ids=shard.type_ids, attention_mask=shard.attention_mask,
-                source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
-                positions=objectives.scored_positions(model_cfg.family, shard),
-            )
-            loss = objectives.loss(out, shard, batch)
-            del out  # leave the outputs to the tape, which frees them as backward consumes it
-        tape.backward(loss, seed_grad=scale)
-        missing = [name for name, t in params.items() if t.grad is None]
-    finally:
-        params.route_grads(None)  # a later backward outside a step writes fresh arrays, not into ``grads``
+                shard: PackedSequenceBatch, batch: PackedSequenceBatch, flat: np.ndarray) -> float:
+    """Forward and backward of one shard: its loss; ``scale`` times its gradients land in ``flat``, an arena layout."""
+    for _, t in params.items():
+        t.grad = None
+    rng = DropoutRng(cfg.seed, step, shard.example_ids)
+    with Tape() as tape:
+        out = forward(
+            params, model_cfg, shard.ids, mode="train", rng=rng,
+            recompute=cfg.recompute_activations,
+            type_ids=shard.type_ids, attention_mask=shard.attention_mask,
+            source_ids=shard.source_ids, source_attention_mask=shard.source_mask,
+            positions=objectives.scored_positions(model_cfg.family, shard),
+        )
+        loss = objectives.loss(out, shard, batch)
+        del out  # leave the outputs to the tape, which frees them as backward consumes it
+    tape.backward(loss, seed_grad=scale)
+    missing = []
+    for (name, t), view in zip(params.items(), params.views(flat).values()):
+        if t.grad is None:
+            missing.append(name)
+        else:
+            np.copyto(view, t.grad)
+        t.grad = None
     if missing:
         raise ConfigError(f"the loss does not reach parameters {', '.join(missing)}")
     return float(loss.data)
 
 
-def _worker_main(conn, params: ModelParams, shards: range, n_shards: int, slots: list[dict[str, np.ndarray]]) -> None:
+def _worker_main(conn, params: ModelParams, shards: range, n_shards: int, slots: np.ndarray) -> None:
     """A forked shard worker: one request per step, until end-of-file on ``conn``."""
     import signal
 
@@ -219,7 +224,7 @@ class _ShardWorkers:
                 self.conns.append(conn)
                 proc = context.Process(
                     target=_worker_main,
-                    args=(child_end, params, shards, n_shards, [params.views(slot) for slot in slots]),
+                    args=(child_end, params, shards, n_shards, slots),
                     daemon=True,
                 )
                 proc.start()
@@ -337,18 +342,17 @@ class TrainEngine:
         workers = self._shard_workers(n_shards, n_procs) if n_procs > 1 else None
         params, optimizer, scale = self.params, self.optimizer, self.scaler.scale
 
-        def shard_pass(shard: PackedSequenceBatch, grads: dict[str, np.ndarray]) -> float:
-            return _shard_pass(params, self.model_cfg, self.cfg, self.step, scale, shard, batch, grads)
+        def shard_pass(shard: PackedSequenceBatch, flat: np.ndarray) -> float:
+            return _shard_pass(params, self.model_cfg, self.cfg, self.step, scale, shard, batch, flat)
 
         try:
             if workers is not None:
                 workers.start_step(batch, self.model_cfg, self.cfg, self.step, scale)
-            loss_total = shard_pass(own[0], optimizer.grads)
+            loss_total = shard_pass(own[0], optimizer.grad_flat)
             if len(own) > 1:
                 scratch = np.empty_like(optimizer.grad_flat)
-                views = params.views(scratch)
                 for shard in own[1:]:
-                    loss_total += shard_pass(shard, views)
+                    loss_total += shard_pass(shard, scratch)
                     optimizer.grad_flat += scratch
             if workers is not None:
                 for loss, slot in workers.gather():
@@ -362,7 +366,7 @@ class TrainEngine:
     def compute_gradients(self, batch: PackedSequenceBatch, n_shards: int = 1) -> tuple[dict[str, np.ndarray], float]:
         """Unscaled full-batch gradients and loss; parameters, moments and counters stay as they are."""
         loss = self._scaled_gradients(batch, n_shards)
-        return {name: g / self.scaler.scale for name, g in self.optimizer.grads.items()}, loss
+        return {name: g / self.scaler.scale for name, g in self.params.views(self.optimizer.grad_flat).items()}, loss
 
     def data_parallel_step(self, batch: PackedSequenceBatch, n_shards: int = 1) -> StepMetrics:
         """Shard the batch, reduce gradients into the arena in fixed shard order, update once from it."""

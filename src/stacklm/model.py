@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import tokenize
 import warnings
 import zipfile
 from dataclasses import dataclass, fields
@@ -266,12 +267,6 @@ class ModelParams:
 
     def element_count(self) -> int:
         return self.flat.size
-
-    def route_grads(self, grads: Optional[dict[str, np.ndarray]]) -> None:
-        """Clear the gradients; the next backward writes each into its view in ``grads``, or fresh arrays if None."""
-        for name, t in self.tensors.items():
-            t.grad = None
-            t.grad_buffer = None if grads is None else grads[name]
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
@@ -555,8 +550,9 @@ def save_checkpoint(
 
 
 # what reading a damaged archive raises: zipfile's CRC and header errors (BadZipFile), a member it cannot
-# extract (RuntimeError), a seek outside the file (OSError), numpy's header and data errors (ValueError, EOFError)
-_DAMAGED_ARCHIVE = (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile)
+# extract (RuntimeError), a seek outside the file (OSError), numpy's header and data errors (ValueError, EOFError),
+# and the errors of the tokenizer numpy retries an unparsable header with (TokenError, SyntaxError)
+_DAMAGED_ARCHIVE = (EOFError, OSError, RuntimeError, SyntaxError, ValueError, tokenize.TokenError, zipfile.BadZipFile)
 
 
 def _read_array(path: str, archive, key: str) -> np.ndarray:

@@ -121,8 +121,8 @@ class OptimizerState:
     """Adam's step counter, and the gradient and moment buffers of the arena.
 
     ``grad_flat``, ``m_flat`` and ``v_flat`` are laid out like
-    ``params.flat``, so each weight-decay segment is one slice of all four;
-    ``grads`` maps each parameter to its view of the gradients.  Each is a
+    ``params.flat``, so each weight-decay segment is one slice of all four
+    (``params.views`` gives each parameter's view of one).  Each is a
     mapping of its own: a restore that adopts stored moments frees the zero
     ones.  They live as long as the state, not the model.
     """
@@ -130,7 +130,6 @@ class OptimizerState:
     def __init__(self, params: ModelParams):
         self.step = 0
         self.grad_flat, self.m_flat, self.v_flat = (mapped_zeros(params.flat.shape, params.flat.dtype) for _ in range(3))
-        self.grads = params.views(self.grad_flat)
 
 
 def adam_step(params: ModelParams, state: OptimizerState, lr: float) -> None:

@@ -11,6 +11,11 @@ adds).
 The recording rule has no exceptions: while a tape is active, every
 primitive applied is recorded, and ``Tape.backward`` fills ``grad`` on every
 input it reaches.  With no active tape nothing is recorded.
+
+No gradient array is written after the tape hands it to a tensor: a first
+gradient is taken over without a copy and later ones are summed out of
+place, so one array may be the gradient of several tensors (``add``,
+``reshape`` and ``transpose`` hand on their upstream gradient or a view).
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ class Tensor:
 
     ``data`` is always a numpy float array; ``grad`` is filled in (same
     shape) by ``Tape.backward`` on every tensor the backward pass reaches.
-    The first gradient is a fresh array, or is written into ``grad_buffer``
-    when one is set (a parameter's slot in an arena of gradients).
+    ``grad`` may share memory with another tensor's gradient, so it is
+    read, never written: the tape replaces it rather than adding in place.
     """
 
-    __slots__ = ("data", "grad", "grad_buffer")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -51,7 +56,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.grad_buffer: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,15 +112,16 @@ class Tape:
     def backward(self, root: Tensor, seed_grad: Optional[np.ndarray] = None) -> None:
         """Propagate gradients from ``root`` back through every recorded node.
 
-        ``seed_grad`` defaults to ones (the usual scalar-loss case).  Raises
-        if the tape was already consumed; re-record the forward pass instead.
+        ``seed_grad`` defaults to ones (the usual scalar-loss case); it is
+        copied, as it may be the caller's array.  Raises if the tape was
+        already consumed; re-record the forward pass instead.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by backward(); re-record the forward pass")
         self._consumed = True
         if seed_grad is None:
             seed_grad = np.ones_like(root.data)
-        _accumulate(root, np.asarray(seed_grad, dtype=root.dtype))
+        _accumulate(root, np.array(seed_grad, dtype=root.dtype))
         while self._nodes:
             inputs, output, backward_fn = self._nodes.pop()
             if output.grad is None:
@@ -132,13 +137,8 @@ _ACTIVE_TAPE: Optional[Tape] = None
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     if grad.shape != tensor.data.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {tensor.data.shape}")
-    if tensor.grad is not None:
-        tensor.grad += grad
-    elif tensor.grad_buffer is None:
-        tensor.grad = grad.astype(tensor.dtype, copy=True)
-    else:
-        np.copyto(tensor.grad_buffer, grad)
-        tensor.grad = tensor.grad_buffer
+    grad = grad.astype(tensor.dtype, copy=False)
+    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:

@@ -45,6 +45,16 @@ def test_unknown_subcommand_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
+def test_bad_seed_is_a_parser_error_that_names_the_option(tmp_path, capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert f"stacklm {command}: error: argument --seed: takes an integer >= 0, got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_runtime_failure_exit_1(tmp_path, capsys):
     rc = main(["count-params", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "run")])
     assert rc == 1

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,15 @@ def model_and_engine(family="decoder-only", n_layers=2, seed=0, recompute=False,
 
 def update_from(engine, grads, loss_value):
     """Writes ``grads`` into the engine's arena, then takes its update step from the arena."""
+    views = engine.params.views(engine.optimizer.grad_flat)
     for name, g in grads.items():
-        engine.optimizer.grads[name][...] = g
+        views[name][...] = g
     return engine._apply_update(loss_value)
+
+
+def clear_grads(params):
+    for _, t in params.items():
+        t.grad = None
 
 
 def lm_batches(seed=0, seq_len=12, batch_size=4, vocab=31):
@@ -210,7 +217,7 @@ def test_masked_positions_objective_equals_all_positions(dtype, bound):
     assert 0 < positions.size < batch.loss_mask.size
     results = []
     for scored in (None, positions):
-        params.route_grads(None)
+        clear_grads(params)
         with Tape() as tape:
             out = forward(params, cfg, batch.ids, mode="train", rng=DropoutRng(0, 0, batch.example_ids),
                           type_ids=batch.type_ids, positions=scored)
@@ -286,7 +293,7 @@ def test_single_shard_is_exactly_train_step():
         expected = []
         for k in range(3):
             batch = batch_fn(k)
-            ref_params.route_grads(None)
+            clear_grads(ref_params)
             rng = DropoutRng(ref.cfg.seed, ref.step, batch.example_ids)
             with Tape() as tape:
                 loss = full_batch_objective(ref_params, cfg, batch, rng)
@@ -415,7 +422,7 @@ def test_shard_compute_order_does_not_matter():
     shard_grads = {}
     for index in reversed(range(2)):
         shard = batch.shard(index, 2)
-        engine.params.route_grads(None)
+        clear_grads(engine.params)
         rng = DropoutRng(engine.cfg.seed, engine.step, shard.example_ids)
         with Tape() as tape:
             out = forward(engine.params, engine.model_cfg, shard.ids, mode="train", rng=rng)
@@ -426,7 +433,7 @@ def test_shard_compute_order_does_not_matter():
     combined = {}
     for name in engine.params.names():
         combined[name] = shard_grads[0][name] + shard_grads[1][name]
-    engine.params.route_grads(None)
+    clear_grads(engine.params)
     update_from(engine, combined, 0.0)
     for name, t in params_a.items():
         assert np.array_equal(t.data, params_b[name].data), name
@@ -553,6 +560,21 @@ def test_damaged_checkpoint_loads_or_raises_one_line_config_error(tmp_path, data
             assert str(exc).startswith(str(path)) and "\n" not in str(exc), exc
 
 
+def test_unbalanced_npy_header_is_a_one_line_config_error(tmp_path):
+    # numpy re-tokenizes a header it cannot parse, and a bracket left open is a tokenizer error, not a ValueError
+    damaged = bytearray(_engine_checkpoint_bytes())
+    with zipfile.ZipFile(io.BytesIO(damaged)) as archive:
+        member = archive.getinfo("adam_m:block0.mlp.w_fc.npy")
+    at = damaged.index(b"'shape': (", member.header_offset) + len(b"'shape':")
+    damaged[at] ^= 1 << 3  # the space after the key becomes "(": "'shape':((16, 64)"
+    path = tmp_path / "model.npz"
+    path.write_bytes(damaged)
+    with pytest.raises(ConfigError) as err:
+        load_engine_checkpoint(str(path))
+    assert str(err.value).startswith(str(path)) and "adam_m:block0.mlp.w_fc" in str(err.value)
+    assert "\n" not in str(err.value)
+
+
 RESTORE_PEAK = """
 import sys
 from stacklm.engine import load_engine_checkpoint
@@ -594,15 +616,16 @@ def test_step_gradients_land_in_the_arena(dtype):
     grads, _ = engine.compute_gradients(family_batches("encoder-only")(0), n_shards=2)
     arena = engine.optimizer
     assert arena.grad_flat.any()
+    views = params.views(arena.grad_flat)
     for name, g in grads.items():
-        assert np.shares_memory(arena.grads[name], arena.grad_flat)
-        assert g.dtype == arena.grads[name].dtype == dtype
-        assert np.array_equal(g, arena.grads[name] / engine.scaler.scale), name
-    # outside a step the tape writes fresh arrays again, also after a pass that failed
-    assert all(t.grad is None and t.grad_buffer is None for _, t in params.items())
+        assert np.shares_memory(views[name], arena.grad_flat)
+        assert g.dtype == views[name].dtype == dtype
+        assert np.array_equal(g, views[name] / engine.scaler.scale), name
+    # after a step no parameter holds a gradient, also after a pass that failed
+    assert all(t.grad is None for _, t in params.items())
     with pytest.raises(ShapeError):
         engine.data_parallel_step(classifier_batch(seed=3))
-    assert all(t.grad is None and t.grad_buffer is None for _, t in params.items())
+    assert all(t.grad is None for _, t in params.items())
     train_loop(engine, family_batches("encoder-only"), 2)
     assert all(t.data.dtype == dtype and np.shares_memory(t.data, params.flat) for _, t in params.items())
 

@@ -234,8 +234,9 @@ def toy_params():
 
 def adam_with(params, state, grads, lr):
     """Writes ``grads`` into the arena's gradient views, then takes one Adam step from the arena."""
+    views = params.views(state.grad_flat)
     for name, g in grads.items():
-        state.grads[name][...] = g
+        views[name][...] = g
     adam_step(params, state, lr)
 
 
@@ -335,7 +336,7 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
     params = build_model(cfg, seed=1, dtype=dtype)
     state = OptimizerState(params)
     flats = (params.flat, state.grad_flat, state.m_flat, state.v_flat)
-    m, v = params.views(state.m_flat), params.views(state.v_flat)
+    grads, m, v = params.views(state.grad_flat), params.views(state.m_flat), params.views(state.v_flat)
     assert all(flat.dtype == dtype and flat.shape == (params.element_count(),) for flat in flats)
     decayed, undecayed = params.segments["decayed"], params.segments["undecayed"]
     assert (decayed.start, decayed.stop, undecayed.stop) == (0, undecayed.start, params.flat.size)
@@ -344,7 +345,7 @@ def test_arena_views_and_decayed_then_undecayed_layout(dtype):
         span = slice(offset, offset + t.size)
         inside = decayed if wants_weight_decay(name, shape) else undecayed
         assert inside.start <= span.start and span.stop <= inside.stop, name
-        for flat, view in zip(flats, (t.data, state.grads[name], m[name], v[name])):
+        for flat, view in zip(flats, (t.data, grads[name], m[name], v[name])):
             assert view.shape == shape == t.shape and view.dtype == dtype
             assert view.base is not None and np.shares_memory(view, flat[span]), name
             assert view.__array_interface__["data"][0] == flat[span].__array_interface__["data"][0], name

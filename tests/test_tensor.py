@@ -451,6 +451,79 @@ def test_checkpoint_matches_plain_backward_bitwise():
     assert np.array_equal(plain[2], ckpt[2])
 
 
+class ReadingTape(Tape):
+    """A tape that keeps a copy of the gradient each node's backward reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def record(self, inputs, output, backward_fn):
+        def reading(g):
+            self.reads.append((output, g.copy()))
+            return backward_fn(g)
+
+        super().record(inputs, output, reading)
+
+
+def _recomputed(h):
+    return T.add(T.mul(h, h), T.transpose(h, (1, 0)))
+
+
+# each takes two (3, 3) operands and makes one; add, reshape and transpose hand their gradient on without a copy
+_FANOUT_OPS = {
+    "add": T.add,
+    "mul": T.mul,
+    "tanh": lambda a, b: T.tanh(a),
+    "reshape": lambda a, b: T.add(T.reshape(T.reshape(a, (9,)), (3, 3)), b),
+    "transpose": lambda a, b: T.add(T.transpose(a, (1, 0)), b),
+    "checkpoint": lambda a, b: T.checkpoint(_recomputed, a),
+}
+_UNARY = ("tanh", "checkpoint")
+
+
+def fanout_graph(ops, weight):
+    """Applies ``ops`` to a pool that starts with the leaves; the loss weighs the sum of the results nothing used."""
+
+    def build(*leaves):
+        pool, used = list(leaves), set()
+        for kind, i, j in ops:
+            i, j = i % len(pool), j % len(pool)
+            pool.append(_FANOUT_OPS[kind](pool[i], pool[j]))
+            used.update((i,) if kind in _UNARY else (i, j))
+        sinks = [t for k, t in enumerate(pool) if k not in used]
+        total = sinks[0]
+        for t in sinks[1:]:
+            total = T.add(total, t)
+        return T.sum_all(T.mul(total, Tensor(weight)))
+
+    return build
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gradients_are_not_written_after_the_tape_hands_them_over(data):
+    # operands used again after an add, reshape or transpose handed them the same array as another tensor
+    kinds = sorted(set(_FANOUT_OPS) - {"checkpoint"})
+    index = st.integers(0, 63)
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(kinds), index, index), min_size=1, max_size=6), label="ops")
+    ops.insert(data.draw(st.integers(0, len(ops)), label="at"), ("checkpoint", data.draw(index, label="input"), 0))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    leaves = [g.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)]
+    build = fanout_graph(ops, g.uniform(-1.0, 1.0, size=(3, 3)))
+
+    tensors = [Tensor(a.copy()) for a in leaves]
+    with ReadingTape() as tape:
+        loss = build(*tensors)
+    tape.backward(loss)
+    for output, read in tape.reads:
+        assert np.array_equal(output.grad, read), "a gradient changed after its node's backward read it"
+    for i, t in enumerate(tensors):
+        numeric = finite_difference(lambda *arrays: build(*map(Tensor, arrays)).item(), leaves, i)
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        assert np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)) < 1e-6, i
+
+
 # ---------------------------------------------------------------------------
 # dropout stream contract
 # ---------------------------------------------------------------------------
