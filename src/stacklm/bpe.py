@@ -20,17 +20,25 @@ Vocabulary file grammar (UTF-8, line oriented)::
     specials <count>
     <name> <sentinel>          # one per special, id order
 
-Symbols are percent-escaped: bytes outside printable ASCII, ``%`` and the
-space byte are written as ``%XX``.  The file ends with a newline, so a
-reader can tell a complete file from a truncated one.
+Two rules hold for every vocabulary:
+
+- Each symbol has one spelling: ``urllib.parse.quote_from_bytes`` with
+  every printable ASCII byte but ``%`` kept as itself, so other bytes,
+  ``%`` and the space are ``%XX`` in uppercase hex.  A reader rejects any
+  other spelling of the same bytes, such as ``%41`` or ``%ff``.
+- The specials are ids 0-4, in ``SPECIAL_NAMES`` order; the file records
+  only their sentinels.
+
+The file ends with a newline, so a reader can tell a complete file from a
+truncated one.
 """
 
 from __future__ import annotations
 
-import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+from urllib.parse import quote_from_bytes, unquote_to_bytes
 
 from .fileio import atomic_write
 
@@ -51,34 +59,8 @@ class TokenizerError(ValueError):
     pass
 
 
-def _escape(symbol: bytes) -> str:
-    out = []
-    for b in symbol:
-        if 0x21 <= b <= 0x7E and b != 0x25:
-            out.append(chr(b))
-        else:
-            out.append(f"%{b:02X}")
-    return "".join(out)
-
-
-def _unescape(text: str) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "%":
-            code = text[i + 1 : i + 3]
-            if len(code) != 2 or not all(c in string.hexdigits for c in code):
-                raise TokenizerError(f"bad escape {text[i : i + 3]!r} in symbol {text!r}")
-            out.append(int(code, 16))
-            i += 3
-        elif "!" <= text[i] <= "~":
-            out.append(ord(text[i]))
-            i += 1
-        else:
-            raise TokenizerError(f"unescaped character {text[i]!r} in symbol {text!r}")
-    if not out:
-        raise TokenizerError("empty symbol")
-    return bytes(out)
+# bytes a symbol spells as themselves: printable ASCII but "%"
+_SAFE = "".join(chr(b) for b in range(0x21, 0x7F) if b != 0x25)
 
 
 def _merge_pair(symbols: Sequence[bytes], left: bytes, right: bytes) -> list[bytes]:
@@ -103,8 +85,11 @@ class TokenizerVocab:
     merges: list[tuple[bytes, bytes]]
     sentinels: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_SENTINELS))
 
+    # unannotated, so class constants rather than fields: every vocabulary's specials are ids 0-4
+    eod_id, mask_id, pad_id, unknown_id, splitter_id = range(len(SPECIAL_NAMES))
+    special_ids = frozenset(range(len(SPECIAL_NAMES)))
+
     def __post_init__(self):
-        self.specials = {name: i for i, name in enumerate(SPECIAL_NAMES)}
         self.id_to_token: list[bytes | None] = [None] * len(SPECIAL_NAMES)
         self.token_to_id: dict[bytes, int] = {}
         for sym in self.alphabet:
@@ -126,30 +111,6 @@ class TokenizerVocab:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def eod_id(self) -> int:
-        return self.specials["end_of_document"]
-
-    @property
-    def mask_id(self) -> int:
-        return self.specials["mask"]
-
-    @property
-    def pad_id(self) -> int:
-        return self.specials["pad"]
-
-    @property
-    def unknown_id(self) -> int:
-        return self.specials["unknown"]
-
-    @property
-    def splitter_id(self) -> int:
-        return self.specials["splitter"]
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.specials.values())
-
     def _merge_pass(self, symbols: list[bytes]) -> list[bytes]:
         while len(symbols) >= 2:
             best_rank = None
@@ -163,13 +124,9 @@ class TokenizerVocab:
         return symbols
 
     def _encode_segment(self, segment: bytes) -> tuple[int, ...]:
-        if not segment:
-            return ()
         cached = self._word_cache.get(segment)
         if cached is not None:
             return cached
-        symbols = [segment[i : i + 1] for i in range(len(segment))]
-        known = [s for s in symbols if s in self.token_to_id]
         # unknown bytes split the segment; merges never bridge them
         ids: list[int] = []
         run: list[bytes] = []
@@ -179,17 +136,15 @@ class TokenizerVocab:
                 ids.append(self.token_to_id[sym])
             run.clear()
 
-        for sym in symbols:
+        for i in range(len(segment)):
+            sym = segment[i : i + 1]
             if sym in self.token_to_id:
                 run.append(sym)
             else:
                 flush()
                 ids.append(self.unknown_id)
         flush()
-        result = tuple(ids)
-        if len(known) == len(symbols):
-            self._word_cache[segment] = result
-        return result
+        return self._word_cache.setdefault(segment, tuple(ids))
 
 
 def train_bpe(corpus: str | Iterable[str], target_vocab_size: int) -> TokenizerVocab:
@@ -277,8 +232,7 @@ def decode(ids: Sequence[int], vocab: TokenizerVocab) -> str:
         if i == vocab.splitter_id:
             pieces.append(b" ")
         elif i in vocab.special_ids:
-            name = SPECIAL_NAMES[i]
-            pieces.append(vocab.sentinels[name].encode("utf-8"))
+            pieces.append(vocab.sentinels[SPECIAL_NAMES[i]].encode("utf-8"))
         else:
             pieces.append(vocab.id_to_token[i])
     return b"".join(pieces).decode("utf-8", errors="replace")
@@ -286,9 +240,9 @@ def decode(ids: Sequence[int], vocab: TokenizerVocab) -> str:
 
 def save_vocab(vocab: TokenizerVocab, path: str) -> None:
     lines = ["stacklm-bpe v1", f"alphabet {len(vocab.alphabet)}"]
-    lines.extend(_escape(sym) for sym in vocab.alphabet)
+    lines.extend(quote_from_bytes(sym, _SAFE) for sym in vocab.alphabet)
     lines.append(f"merges {len(vocab.merges)}")
-    lines.extend(f"{_escape(l)} {_escape(r)}" for l, r in vocab.merges)
+    lines.extend(f"{quote_from_bytes(l, _SAFE)} {quote_from_bytes(r, _SAFE)}" for l, r in vocab.merges)
     lines.append(f"specials {len(SPECIAL_NAMES)}")
     for name in SPECIAL_NAMES:
         lines.append(f"{name} {vocab.sentinels[name]}")
@@ -299,8 +253,9 @@ def save_vocab(vocab: TokenizerVocab, path: str) -> None:
 def load_vocab(path: str) -> TokenizerVocab:
     """Read a file written by ``save_vocab``.
 
-    A malformed file raises ``TokenizerError``.  ``save_vocab`` ends the
-    file with a newline, so a file cut short anywhere is rejected too.
+    A malformed file, or a symbol in any spelling but the one
+    ``save_vocab`` writes, raises ``TokenizerError``.  ``save_vocab`` ends
+    the file with a newline, so a file cut short anywhere is rejected too.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -330,14 +285,18 @@ def load_vocab(path: str) -> TokenizerVocab:
             raise TokenizerError(f"{path}:{pos}: expected '{expected} <count>', found {lines[pos - 1]!r}")
         return int(count)
 
-    alphabet = []
-    for _ in range(header("alphabet")):
-        (symbol,) = fields("a symbol", 1)
-        alphabet.append(_unescape(symbol))
-    merges = []
-    for _ in range(header("merges")):
-        left, right = fields("'<left> <right>'", 2)
-        merges.append((_unescape(left), _unescape(right)))
+    def symbols(what: str, n: int) -> list[bytes]:
+        out = []
+        for word in fields(what, n):  # never empty: fields splits on whitespace
+            symbol = unquote_to_bytes(word)
+            spelling = quote_from_bytes(symbol, _SAFE)
+            if spelling != word:
+                raise TokenizerError(f"{path}:{pos}: symbol {word!r} must be spelled {spelling!r}")
+            out.append(symbol)
+        return out
+
+    alphabet = [symbols("a symbol", 1)[0] for _ in range(header("alphabet"))]
+    merges = [tuple(symbols("'<left> <right>'", 2)) for _ in range(header("merges"))]
     sentinels = {}
     for _ in range(header("specials")):
         name, sentinel = fields("'<name> <sentinel>'", 2)

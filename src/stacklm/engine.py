@@ -56,6 +56,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional, TextIO
@@ -196,7 +197,11 @@ def _worker_main(conn, params: ModelParams, shards: range, n_shards: int, slots:
                 for index, slot in zip(shards, slots)
             ])
         except Exception as exc:
-            reply = (type(exc), str(exc))
+            try:  # the parent raises the exception itself, or its type and message if it cannot travel
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            reply = (exc, None)
         try:
             conn.send(reply)
         except OSError:  # the parent closed the pool during this step
@@ -252,7 +257,10 @@ class _ShardWorkers:
             except (EOFError, OSError):
                 raise RuntimeError(f"shard worker {proc.pid} exited during a step") from None
             if error is not None:
-                raise error(payload)
+                try:
+                    raise error
+                finally:  # the traceback holds this frame, so a local naming the error would keep a cycle
+                    del error
             yield from zip(payload, slots)
 
     def close(self) -> None:

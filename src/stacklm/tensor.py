@@ -592,6 +592,4 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
         sub.backward(replay, seed_grad=g)
         return (proxy.grad,)
 
-    out = Tensor(primary.data)
-    tape.record((x,), out, backward)
-    return out
+    return _record((x,), primary.data, backward)

@@ -66,7 +66,7 @@ def test_training_stops_when_no_pair_repeats():
 
 def test_ids_are_contiguous_and_specials_first():
     vocab = train_bpe("hello hello world", 64)
-    assert sorted(vocab.specials.values()) == list(range(BASE))
+    assert sorted(vocab.special_ids) == list(range(BASE))
     assert vocab.size == BASE + len(vocab.alphabet) + len(vocab.merges)
     merged_ids = [vocab.token_to_id[l + r] for l, r in vocab.merges]
     assert merged_ids == list(range(base_size(vocab), vocab.size))
@@ -145,6 +145,39 @@ def test_save_load_round_trip(tmp_path, english_vocab):
     assert loaded.sentinels == english_vocab.sentinels
     text = "the happy cat sang"
     assert encode(text, loaded) == encode(text, english_vocab)
+
+
+@pytest.mark.parametrize("spelling", ["%ff", "%41", "%zz", "%4", " ", "a b", "é", ""])
+@pytest.mark.parametrize("section", ["alphabet", "merges"])
+def test_symbol_not_in_its_one_spelling_names_file_and_line(tmp_path, english_vocab, spelling, section):
+    path = tmp_path / "vocab.txt"
+    save_vocab(english_vocab, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = lines.index(next(l for l in lines if l.startswith(f"{section} "))) + 1
+    lines[line] = spelling if section == "alphabet" else f"{spelling} x"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TokenizerError, match="^" + re.escape(f"{path}:{line + 1}: ")):
+        load_vocab(str(path))
+
+
+def test_canonical_spellings_load(tmp_path):
+    vocab = TokenizerVocab([b"%", b" ", b"\xff", b"!", b"~"], [(b"!", b"~")])
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:9] == ["%25", "%20", "%FF", "!", "~", "merges 1", "! ~"]
+    loaded = load_vocab(str(path))
+    assert (loaded.alphabet, loaded.merges) == (vocab.alphabet, vocab.merges)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(symbol=st.binary(min_size=1))
+def test_any_symbol_round_trips_through_the_file(tmp_path, symbol):
+    vocab = TokenizerVocab([symbol], [(symbol, symbol)])
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, str(path))
+    loaded = load_vocab(str(path))
+    assert (loaded.alphabet, loaded.merges) == (vocab.alphabet, vocab.merges)
 
 
 def test_load_rejects_foreign_file(tmp_path):

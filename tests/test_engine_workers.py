@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stacklm import objectives
@@ -23,6 +24,11 @@ from stacklm.data import DataError
 from stacklm.engine import shard_processes, train_loop
 from stacklm.model import ConfigError
 from test_engine import family_batches, lm_batches, model_and_engine
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # shards fork only where the engine can read the usable cores
@@ -88,6 +94,32 @@ def test_worker_error_reaches_parent_and_closes_workers(two_processes, monkeypat
     _, _, engine = model_and_engine()
     batch = lm_batches()(0)
     with pytest.raises(ShardFailure, match=r"^bad shard \[2, 3\]$"):
+        engine.data_parallel_step(batch, 2)
+    assert multiprocessing.active_children() == []
+    assert engine.step == 0
+
+    # an exception whose constructor takes other arguments than its message arrives as itself
+    def out_of_memory_in_worker(out, shard, batch):
+        if os.getpid() != parent:
+            raise _ArrayMemoryError((1 << 20, 1 << 20), np.dtype(np.float64))
+        return loss(out, shard, batch)
+
+    monkeypatch.setattr(objectives, "loss", out_of_memory_in_worker)
+    with pytest.raises(MemoryError, match=r"^Unable to allocate 8\.00 TiB for an array with shape"):
+        engine.data_parallel_step(batch, 2)
+    assert multiprocessing.active_children() == []
+
+    # one that cannot be pickled arrives as a RuntimeError naming its type
+    class LocalFailure(Exception):
+        pass
+
+    def unpicklable_in_worker(out, shard, batch):
+        if os.getpid() != parent:
+            raise LocalFailure(f"bad shard {shard.example_ids.tolist()}")
+        return loss(out, shard, batch)
+
+    monkeypatch.setattr(objectives, "loss", unpicklable_in_worker)
+    with pytest.raises(RuntimeError, match=r"^LocalFailure: bad shard \[2, 3\]$"):
         engine.data_parallel_step(batch, 2)
     assert multiprocessing.active_children() == []
     assert engine.step == 0
