@@ -46,7 +46,8 @@ def matrix() -> dict[str, list[str]]:
     corpus = ["--corpus", "tree/data/toy_corpus.txt"]
     task = ["--train", "tasks/train.tsv", "--dev", "tasks/dev.tsv"]
     finetuned = ["--checkpoint", "runs/finetune/finetuned.npz", "--vocab", f"{PRETRAINED}/vocab.txt"]
-    sweep = ["sweep", "--config", "tree/configs/bert-c.cfg", "--toy", "--depths", "1,2,4", "--budget", "20"]
+    sweep = ["sweep", "--config", "tree/configs/bert-c.cfg", "--toy", "--depths", "1,2,4", "--budget", "80",
+             "--lr", "3e-3"]
     commands = {"tokenize-train": ["tokenize-train", *corpus, "--vocab-size", "300"]}
     pretrains = {
         PRETRAINED: ["bert-c", "--shards", "2"],
@@ -54,13 +55,14 @@ def matrix() -> dict[str, list[str]]:
         "runs/pretrain-cpm-2-x-s-recompute": ["cpm-2-x-s", "--recompute"],
         "runs/pretrain-bert-c-recompute": ["bert-c", "--recompute"],
     }
+    # 16 steps reach batch 15, the first to hold the bundled corpus's padded last row
     for run, (config, *flags) in pretrains.items():
         commands[run.removeprefix("runs/")] = [
-            "pretrain", "--config", f"tree/configs/{config}.cfg", *corpus, "--toy", "--steps", "12", *flags
+            "pretrain", "--config", f"tree/configs/{config}.cfg", *corpus, "--toy", "--steps", "16", *flags
         ]
     commands.update({
         "finetune": ["finetune", "--checkpoint", f"{PRETRAINED}/model.npz", "--vocab", f"{PRETRAINED}/vocab.txt",
-                     *task, "--steps", "8", "--batch-size", "8", "--lr", "1e-3"],
+                     *task, "--steps", "80", "--batch-size", "8", "--lr", "3e-3"],
         "eval": ["eval", *finetuned, "--data", "tasks/dev.tsv"],
         "eval-positive-label": ["eval", *finetuned, "--data", "tasks/dev.tsv", "--positive-label", "1"],
         "sweep-bundled": sweep,

@@ -373,9 +373,7 @@ def cmd_sweep(args, run: RunDirectory) -> int:
 
 
 def cmd_cost(args, run: RunDirectory) -> int:
-    records = load_cost_records(args.table, peak_rate=args.peak_rate)
-    configs = reference_model_configs()
-    rows = cost_table(configs, records)
+    rows = cost_table(reference_model_configs(), load_cost_records(args.table), args.peak_rate)
     report = render_cost_report(rows)
     print(report, end="")
     with atomic_write(run.file("cost_report.txt")) as fh:

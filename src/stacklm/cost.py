@@ -6,7 +6,8 @@ Two accountings live here and must not be conflated:
   constant per-device peak rate (default 312 Tflops, the tensor-core peak
   of the training hardware).  This is the relation that reproduces the
   published cost table; it is a reconstruction, the table itself never
-  states its formula.
+  states its formula.  The rate belongs to the report, not to a row:
+  ``cost_table`` takes it, checks it once, and renders every row at it.
 * ``theoretical_train_flops`` is the standard 6 x parameters x tokens
   projection.  It is labeled theoretical and is never compared against the
   published table, which is time-times-capacity accounting.
@@ -82,19 +83,16 @@ class CostRecord:
     wall_hours: float
     steps: int
     gpus: int
-    peak_rate: float = DEFAULT_PEAK_FLOPS
     reported_eflops: Optional[float] = None
 
     def __post_init__(self):
         if self.wall_hours < 0 or self.steps < 0 or self.gpus < 0:
             raise CostError("cost record fields must be non-negative")
-        if not (math.isfinite(self.peak_rate) and self.peak_rate > 0):
-            raise CostError(f"peak_rate must be finite and positive, got {self.peak_rate}")
 
 
-def eflops(record: CostRecord) -> float:
+def eflops(record: CostRecord, peak_rate: float = DEFAULT_PEAK_FLOPS) -> float:
     """Total exaflops: seconds x devices x per-device peak / 1e18."""
-    return record.wall_hours * 3600.0 * record.gpus * record.peak_rate / 1e18
+    return record.wall_hours * 3600.0 * record.gpus * peak_rate / 1e18
 
 
 def theoretical_train_flops(cfg: ModelConfig, tokens: int) -> float:
@@ -119,24 +117,6 @@ _REPORT_COLUMNS = (
 )
 
 
-@dataclass
-class CostReportRow:
-    model: str
-    time: str
-    steps: int
-    gpus: int
-    params: Optional[int]
-    layers: Optional[int]
-    eflops_computed: float
-    eflops_reported: Optional[float]
-
-    @property
-    def deviation(self) -> Optional[float]:
-        if self.eflops_reported in (None, 0):
-            return None
-        return (self.eflops_computed - self.eflops_reported) / self.eflops_reported
-
-
 def _format_hours(hours: float) -> str:
     whole = int(hours)
     minutes = round((hours - whole) * 60)
@@ -148,48 +128,36 @@ def _format_hours(hours: float) -> str:
 def cost_table(
     configs: dict[str, ModelConfig],
     records: Iterable[CostRecord],
-) -> list[CostReportRow]:
-    """Per-model rows pairing computed and reported Eflops.
+    peak_rate: float = DEFAULT_PEAK_FLOPS,
+) -> list[list[str]]:
+    """One row of cells per record, in ``_REPORT_COLUMNS`` order, at one per-device ``peak_rate``.
 
     Models without a config get blank params/layers; records without a
-    reported value get a blank deviation.
+    reported value (or a reported 0) get a blank deviation.
     """
+    if not (math.isfinite(peak_rate) and peak_rate > 0):
+        raise CostError(f"peak_rate must be finite and positive, got {peak_rate}")
     rows = []
     for record in records:
         cfg = configs.get(record.model)
-        rows.append(
-            CostReportRow(
-                model=record.model,
-                time=_format_hours(record.wall_hours),
-                steps=record.steps,
-                gpus=record.gpus,
-                params=count_params(cfg) if cfg is not None else None,
-                layers=cfg.n_layers if cfg is not None else None,
-                eflops_computed=eflops(record),
-                eflops_reported=record.reported_eflops,
-            )
-        )
+        computed, reported = eflops(record, peak_rate), record.reported_eflops
+        rows.append([
+            record.model,
+            _format_hours(record.wall_hours),
+            str(record.steps),
+            str(record.gpus),
+            "" if cfg is None else str(count_params(cfg)),
+            "" if cfg is None else str(cfg.n_layers),
+            f"{computed:.1f}",
+            "" if reported is None else f"{reported:g}",
+            "" if not reported else f"{100 * (computed - reported) / reported:+.2f}%",
+        ])
     return rows
 
 
-def _row_cells(row: CostReportRow) -> list[str]:
-    dev = row.deviation
-    return [
-        row.model,
-        row.time,
-        str(row.steps),
-        str(row.gpus),
-        "" if row.params is None else str(row.params),
-        "" if row.layers is None else str(row.layers),
-        f"{row.eflops_computed:.1f}",
-        "" if row.eflops_reported is None else f"{row.eflops_reported:g}",
-        "" if dev is None else f"{100 * dev:+.2f}%",
-    ]
-
-
-def render_cost_report(rows: list[CostReportRow]) -> str:
+def render_cost_report(rows: list[list[str]]) -> str:
     """Aligned text table (header always present, even for no rows)."""
-    table = [list(_REPORT_COLUMNS)] + [_row_cells(r) for r in rows]
+    table = [list(_REPORT_COLUMNS)] + rows
     widths = [max(len(line[i]) for line in table) for i in range(len(_REPORT_COLUMNS))]
     out = []
     for line in table:
@@ -197,12 +165,11 @@ def render_cost_report(rows: list[CostReportRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_cost_csv(rows: list[CostReportRow]) -> str:
+def render_cost_csv(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_cells(row))
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -216,7 +183,7 @@ def _read_packaged_csv(name: str) -> list[dict[str, str]]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEAK_FLOPS) -> list[CostRecord]:
+def load_cost_records(path: Optional[str] = None) -> list[CostRecord]:
     """Cost rows from a CSV file (columns model,time,steps,gpus,reported_eflops);
     defaults to the bundled reference table.  Errors name the file, the data
     row (counted from 1) and the column."""
@@ -237,7 +204,6 @@ def load_cost_records(path: Optional[str] = None, peak_rate: float = DEFAULT_PEA
                 wall_hours=_cell(row, "time", parse_duration_hours, where),
                 steps=_cell(row, "steps", parse_count, where),
                 gpus=_cell(row, "gpus", lambda t: _finite_non_negative(int(t)), where),
-                peak_rate=peak_rate,
                 reported_eflops=_cell(row, "reported_eflops", _optional_eflops, where, ""),
             )
         )

@@ -8,7 +8,10 @@ sequence is padded and its pad positions carry zero loss weight.
 A pretraining batch aligns its targets with the logits: ``targets[b, t]`` is
 what position ``t`` predicts and ``loss_mask[b, t]`` weighs it, so every
 family's objective is one weighted cross entropy.  A causal batch's last
-position gets target 0 and weight 0, as pads do.
+position gets target 0 and weight 0, as pads do.  Causal attention never
+reads a pad, since pads come last; a masked-LM batch's ``attention_mask``
+and a sequence-to-sequence batch's ``source_mask`` hide them from
+bidirectional attention.
 
 Batch construction is deterministic: the content of batch ``k`` depends
 only on (packed corpus, seed, k), never on timing, so sharded and replayed
@@ -249,7 +252,9 @@ def make_mlm_batch(
     Segments are the two contiguous halves of each packed sequence; they
     are swapped with probability one half before masking.  Segment markers
     are 0 over a row's first segment and 1 over its second.  Pads are
-    special tokens, so masking alone decides the loss weights.
+    special tokens, which masking neither corrupts nor creates: it alone
+    decides the loss weights, and the attention mask (1 = attendable)
+    hides the pads.
     """
     ids = packed[0]
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
@@ -270,6 +275,7 @@ def make_mlm_batch(
         example_ids=rows,
         labels=labels,
         type_ids=type_ids,
+        attention_mask=(out_ids != vocab.pad_id).astype(np.float64),
     )
     return apply_whole_word_ngram_mask(batch, policy, vocab, rngs)
 

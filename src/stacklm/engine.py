@@ -23,12 +23,12 @@ parameter that the loss does not reach is rejected.
 Parameters, gradients and Adam moments lie in the arena: the flat
 parameter buffer of ``ModelParams`` and, laid out the same way, the
 gradient and moment buffers of ``OptimizerState``.  Only the engine puts
-gradients there: after a shard's backward it copies each parameter's
-gradient into a buffer laid out like the arena (the arena itself for the
-first shard) and adds each later shard's with one flat add.  The update
-then runs over the arena's two weight-decay segments: clip sums the
-squares in arena order (decayed tensors first), a chunk at a time, and
-Adam updates in place.
+gradients there: after the first shard's backward it copies each
+parameter's gradient into its view of the arena, and each later shard the
+process runs adds its gradients into those views in place, so a step holds
+no second gradient buffer.  The update then runs over the arena's two
+weight-decay segments: clip sums the squares in arena order (decayed
+tensors first), a chunk at a time, and Adam updates in place.
 
 Shards run on the machine's cores.  A step with more than one shard uses
 ``shard_processes(n_shards)`` processes: as many as the usable cores hold
@@ -151,8 +151,9 @@ def shard_processes(n_shards: int) -> int:
 
 
 def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, step: int, scale: float,
-                shard: PackedSequenceBatch, batch: PackedSequenceBatch, flat: np.ndarray) -> float:
-    """Forward and backward of one shard: its loss; ``scale`` times its gradients land in ``flat``, an arena layout."""
+                shard: PackedSequenceBatch, batch: PackedSequenceBatch, flat: np.ndarray, add: bool = False) -> float:
+    """Forward and backward of one shard: its loss; ``scale`` times its gradients are copied into ``flat``,
+    an arena layout, or added to it in place with ``add``."""
     for _, t in params.items():
         t.grad = None
     rng = DropoutRng(cfg.seed, step, shard.example_ids)
@@ -171,6 +172,8 @@ def _shard_pass(params: ModelParams, model_cfg: ModelConfig, cfg: EngineConfig, 
     for (name, t), view in zip(params.items(), params.views(flat).values()):
         if t.grad is None:
             missing.append(name)
+        elif add:
+            view += t.grad
         else:
             np.copyto(view, t.grad)
         t.grad = None
@@ -350,18 +353,14 @@ class TrainEngine:
         workers = self._shard_workers(n_shards, n_procs) if n_procs > 1 else None
         params, optimizer, scale = self.params, self.optimizer, self.scaler.scale
 
-        def shard_pass(shard: PackedSequenceBatch, flat: np.ndarray) -> float:
-            return _shard_pass(params, self.model_cfg, self.cfg, self.step, scale, shard, batch, flat)
-
         try:
             if workers is not None:
                 workers.start_step(batch, self.model_cfg, self.cfg, self.step, scale)
-            loss_total = shard_pass(own[0], optimizer.grad_flat)
-            if len(own) > 1:
-                scratch = np.empty_like(optimizer.grad_flat)
-                for shard in own[1:]:
-                    loss_total += shard_pass(shard, scratch)
-                    optimizer.grad_flat += scratch
+            loss_total = sum(
+                _shard_pass(params, self.model_cfg, self.cfg, self.step, scale, shard, batch, optimizer.grad_flat,
+                            add=index > 0)
+                for index, shard in enumerate(own)
+            )
             if workers is not None:
                 for loss, slot in workers.gather():
                     loss_total += loss

@@ -163,6 +163,7 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
     # a field over the csv module's 131072-character limit, and bytes that are not UTF-8
     (tmp_path / "long.csv").write_text("model,time,steps,gpus\n" + "T" * 140_000 + ",1h,5K,2\n")
     (tmp_path / "latin1.csv").write_bytes("model,time,steps,gpus\ncaf\u00e9,1h,5K,2\n".encode("latin-1"))
+    (tmp_path / "header-only.csv").write_text("model,time,steps,gpus,reported_eflops\n")
     (tmp_path / "long.tsv").write_text("text_a\ttext_b\tlabel\n" + "a" * 140_000 + "\tb\t1\n")
     (tmp_path / "latin1.tsv").write_bytes("text_a\ttext_b\tlabel\ncaf\u00e9\tb\t1\n".encode("latin-1"))
     (tmp_path / "latin1.txt").write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
@@ -226,6 +227,9 @@ def test_bad_run_options_exit_1_with_one_line_error(tmp_path, capsys, write_tsv)
         **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,2", "--lr", rate):
            "learning rate must be finite" for rate in ("inf", "nan")},
         **{("cost", "--peak-rate", rate): "peak_rate must be finite" for rate in ("nan", "inf")},
+        # the rate is the report's, so a table with no rows cannot carry a bad one into the manifest
+        **{("cost", "--table", str(tmp_path / "header-only.csv"), "--peak-rate", rate):
+           "peak_rate must be finite and positive" for rate in ("nan", "inf", "0", "-1")},
         ("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", "1,1"): "runs each depth once",
         # a depth list that is not layer counts is an error of the flag, quoting what was given
         **{("sweep", "--config", str(CONFIGS / "bert-c.cfg"), "--toy", "--depths", depths):

@@ -106,12 +106,15 @@ def test_cost_table_report_and_blanks():
     records = load_cost_records()
     rows = cost_table(configs, records)
     assert len(rows) == 20
-    by_model = {r.model: r for r in rows}
-    assert by_model["CPM-X-L"].params == count_params(configs["CPM-X-L"])
-    assert by_model["CPM-X-L"].layers == 128
+    columns = "model time steps gpus params layers eflops_computed eflops_reported deviation_pct".split()
+    by_model = {cells[0]: dict(zip(columns, cells, strict=True)) for cells in rows}
+    assert by_model["CPM-X-L"]["params"] == str(count_params(configs["CPM-X-L"]))
+    assert by_model["CPM-X-L"]["layers"] == "128"
 
     # unknown model and missing reference produce blanks, not errors
     extra = cost_table({}, [CostRecord("mystery", 1, 10, 1)])
+    mystery = dict(zip(columns, extra[0], strict=True))
+    assert mystery["params"] == mystery["layers"] == mystery["eflops_reported"] == mystery["deviation_pct"] == ""
     text = render_cost_report(rows + extra)
     assert "mystery" in text
     assert text.splitlines()[0].startswith("model")
@@ -150,11 +153,14 @@ def test_malformed_cost_table_names_file_row_and_column(tmp_path):
 
 
 def test_peak_rate_must_be_finite_and_positive():
-    for rate in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(CostError, match="peak_rate must be finite and positive"):
-            CostRecord("m", 1, 10, 1, peak_rate=rate)
-        with pytest.raises(CostError, match="peak_rate must be finite and positive"):
-            load_cost_records(peak_rate=rate)
+    configs = reference_model_configs()
+    for records in ([], load_cost_records()):
+        for rate in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(CostError, match="peak_rate must be finite and positive"):
+                cost_table(configs, records, rate)
+        # the rate is the report's: every row is computed at it
+        doubled = cost_table(configs, records, 2 * DEFAULT_PEAK_FLOPS)
+        assert [row[6] for row in doubled] == [f"{2 * eflops(r):.1f}" for r in records]
 
 
 def test_load_cost_records_from_file(tmp_path):
@@ -164,7 +170,6 @@ def test_load_cost_records_from_file(tmp_path):
     assert records[0].wall_hours == 2.5
     assert records[0].steps == 10_000
     assert records[0].reported_eflops is None
-    assert records[0].peak_rate == DEFAULT_PEAK_FLOPS
 
 
 _COST_CELLS = st.one_of(

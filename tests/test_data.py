@@ -21,6 +21,7 @@ from stacklm.data import (
     read_documents,
     word_spans,
 )
+from stacklm.model import ModelConfig, build_model, forward
 from stacklm.tensor import Tape, Tensor
 
 EOD, PAD = 0, 2  # matches the special layout of the tokenizer
@@ -390,6 +391,26 @@ def test_mlm_batch_has_all_fields(vocab):
     again = make_mlm_batch(packed, 0, 4, MaskingPolicy(), vocab, seed=11)
     assert np.array_equal(batch.ids, again.ids)
     assert np.array_equal(batch.labels, again.labels)
+
+
+def test_mlm_batch_masks_padding_out_of_attention(vocab):
+    # the last packed row holds 2 real tokens and 6 pads
+    docs = [[7, 8, 9, 10, 11, 12, 13], [7, 8, 9, 10, 11, 12, 13], [20]]
+    packed = pack_documents(docs, seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    assert (packed[0][-1] == vocab.pad_id).sum() == 6
+    batch = make_mlm_batch(packed, 0, 3, MaskingPolicy(), vocab, seed=3)
+    pads = batch.ids == vocab.pad_id
+    assert pads.sum() == 6
+    assert batch.attention_mask.tolist() == (~pads).astype(float).tolist()
+    # with the mask, what sits at a pad position does not reach the real positions
+    cfg = ModelConfig("encoder-only", 2, 16, 2, 8, vocab_size=vocab.size, max_seq_len=8)
+    params = build_model(cfg, seed=0)
+    changed = np.where(pads, vocab.unknown_id, batch.ids)
+    outputs = [
+        forward(params, cfg, ids, mode="eval", type_ids=batch.type_ids, attention_mask=batch.attention_mask)
+        for ids in (batch.ids, changed)
+    ]
+    assert np.array_equal(outputs[0].logits.data[~pads], outputs[1].logits.data[~pads])
 
 
 def test_mlm_segment_markers_follow_the_swap_at_odd_length(vocab):
