@@ -8,7 +8,10 @@ directory under ``<dir>/runs``, and writes ``<dir>/outputs.json``: the sha256
 of every file the runs wrote.
 
 - ``.npz`` archives are hashed array by array: their zip members carry
-  timestamps.
+  timestamps.  The JSON ``meta`` record is hashed under one entry per
+  top-level key, and one per key of its ``extra`` object (for example
+  ``…/model.npz:meta.extra.scaler``), so that a comparison names the record
+  that changed.
 - Manifests are hashed after dropping their timestamps and ``out``.  Every
   path a command is given is relative to ``<dir>``, which links the checkout
   as ``<dir>/tree``, so manifests name the same paths whichever checkout ran.
@@ -87,19 +90,32 @@ def write_tasks(directory: Path) -> None:
                 writer.writerow([ex.text_a, ex.text_b, ex.label])
 
 
+def _sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
 def digests(path: Path, name: str) -> dict[str, str]:
-    """``name``'s sha256, or one per array of an ``.npz``; a manifest loses its timestamps and ``out`` first."""
+    """``name``'s sha256, or one per array and ``meta`` record of an ``.npz``; a manifest loses its timestamps and
+    ``out`` first."""
     if path.suffix == ".npz":
         found = {}
         with np.load(path) as archive:
             for key in archive.files:
                 a = archive[key]
-                found[f"{name}:{key}"] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+                if key != "meta":
+                    found[f"{name}:{key}"] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+                    continue
+                meta = json.loads(a.tobytes().decode("utf-8"))
+                for field, value in meta.items():
+                    if field == "extra":
+                        found.update({f"{name}:meta.extra.{k}": _sha256_json(v) for k, v in value.items()})
+                    else:
+                        found[f"{name}:meta.{field}"] = _sha256_json(value)
         return found
     if path.name == "manifest.json":
         manifest = json.loads(path.read_text(encoding="utf-8"))
         del manifest["started_unix"], manifest["finished_unix"], manifest["options"]["out"]
-        return {name: hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()}
+        return {name: _sha256_json(manifest)}
     return {name: hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
