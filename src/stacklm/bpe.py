@@ -17,7 +17,7 @@ Vocabulary file grammar (UTF-8, line oriented)::
     <symbol>                   # one per base symbol, id order
     merges <count>
     <left> <right>             # one per merge, id order
-    specials <count>
+    specials 5
     <name> <sentinel>          # one per special, id order
 
 Two rules hold for every vocabulary:
@@ -26,8 +26,9 @@ Two rules hold for every vocabulary:
   every printable ASCII byte but ``%`` kept as itself, so other bytes,
   ``%`` and the space are ``%XX`` in uppercase hex.  A reader rejects any
   other spelling of the same bytes, such as ``%41`` or ``%ff``.
-- The specials are ids 0-4, in ``SPECIAL_NAMES`` order; the file records
-  only their sentinels.
+- The specials are ids 0-4, in ``SPECIAL_NAMES`` order, and decode to
+  their ``SENTINELS``.  The file lists them, and a reader accepts only the
+  section that ``save_vocab`` writes, as the last lines of the file.
 
 The file ends with a newline, so a reader can tell a complete file from a
 truncated one.
@@ -36,7 +37,7 @@ truncated one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 from urllib.parse import quote_from_bytes, unquote_to_bytes
 
@@ -45,14 +46,10 @@ from .fileio import atomic_write
 MARKER = "▁".encode("utf-8")
 
 SPECIAL_NAMES = ("end_of_document", "mask", "pad", "unknown", "splitter")
+SENTINELS = ("<|eod|>", "<|mask|>", "<|pad|>", "<|unk|>", "<|split|>")
 
-DEFAULT_SENTINELS = {
-    "end_of_document": "<|eod|>",
-    "mask": "<|mask|>",
-    "pad": "<|pad|>",
-    "unknown": "<|unk|>",
-    "splitter": "<|split|>",
-}
+# the last lines of every vocabulary file
+_SPECIALS_SECTION = (f"specials {len(SPECIAL_NAMES)}", *map(" ".join, zip(SPECIAL_NAMES, SENTINELS)))
 
 
 class TokenizerError(ValueError):
@@ -83,7 +80,6 @@ class TokenizerVocab:
 
     alphabet: list[bytes]
     merges: list[tuple[bytes, bytes]]
-    sentinels: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_SENTINELS))
 
     # unannotated, so class constants rather than fields: every vocabulary's specials are ids 0-4
     eod_id, mask_id, pad_id, unknown_id, splitter_id = range(len(SPECIAL_NAMES))
@@ -232,7 +228,7 @@ def decode(ids: Sequence[int], vocab: TokenizerVocab) -> str:
         if i == vocab.splitter_id:
             pieces.append(b" ")
         elif i in vocab.special_ids:
-            pieces.append(vocab.sentinels[SPECIAL_NAMES[i]].encode("utf-8"))
+            pieces.append(SENTINELS[i].encode("utf-8"))
         else:
             pieces.append(vocab.id_to_token[i])
     return b"".join(pieces).decode("utf-8", errors="replace")
@@ -243,9 +239,7 @@ def save_vocab(vocab: TokenizerVocab, path: str) -> None:
     lines.extend(quote_from_bytes(sym, _SAFE) for sym in vocab.alphabet)
     lines.append(f"merges {len(vocab.merges)}")
     lines.extend(f"{quote_from_bytes(l, _SAFE)} {quote_from_bytes(r, _SAFE)}" for l, r in vocab.merges)
-    lines.append(f"specials {len(SPECIAL_NAMES)}")
-    for name in SPECIAL_NAMES:
-        lines.append(f"{name} {vocab.sentinels[name]}")
+    lines.extend(_SPECIALS_SECTION)
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -253,9 +247,10 @@ def save_vocab(vocab: TokenizerVocab, path: str) -> None:
 def load_vocab(path: str) -> TokenizerVocab:
     """Read a file written by ``save_vocab``.
 
-    A malformed file, or a symbol in any spelling but the one
-    ``save_vocab`` writes, raises ``TokenizerError``.  ``save_vocab`` ends
-    the file with a newline, so a file cut short anywhere is rejected too.
+    A malformed file, a symbol in any spelling but the one ``save_vocab``
+    writes, or a specials section other than the one it writes, raises
+    ``TokenizerError``.  ``save_vocab`` ends the file with a newline, so a
+    file cut short anywhere is rejected too.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -297,13 +292,14 @@ def load_vocab(path: str) -> TokenizerVocab:
 
     alphabet = [symbols("a symbol", 1)[0] for _ in range(header("alphabet"))]
     merges = [tuple(symbols("'<left> <right>'", 2)) for _ in range(header("merges"))]
-    sentinels = {}
-    for _ in range(header("specials")):
-        name, sentinel = fields("'<name> <sentinel>'", 2)
-        sentinels[name] = sentinel
-    if sorted(sentinels) != sorted(SPECIAL_NAMES):
-        raise TokenizerError(f"{path}: specials must be {', '.join(SPECIAL_NAMES)}, found {', '.join(sentinels)}")
+    for expected in _SPECIALS_SECTION:
+        if lines[pos : pos + 1] != [expected]:
+            found = repr(lines[pos]) if pos < len(lines) else "the end of the file"
+            raise TokenizerError(f"{path}:{pos + 1}: expected {expected!r}, found {found}")
+        pos += 1
+    if pos < len(lines):
+        raise TokenizerError(f"{path}:{pos + 1}: expected the end of the file, found {lines[pos]!r}")
     try:
-        return TokenizerVocab(alphabet, merges, sentinels)
+        return TokenizerVocab(alphabet, merges)
     except TokenizerError as exc:
         raise TokenizerError(f"{path}: {exc}") from None

@@ -275,7 +275,7 @@ def cmd_finetune(args, run: RunDirectory) -> int:
     model = finetune(params, cfg, vocab, train_set, args.head, settings)
     save_checkpoint(
         run.file("finetuned.npz"), model.params, cfg,
-        extra={"head": args.head, "label_vocab": model.label_vocab},
+        extra={"label_vocab": model.label_vocab},
     )
     with atomic_write(run.file("metrics.jsonl")) as fh:
         for m in model.history:

@@ -11,8 +11,8 @@ then decides the update: the global L2 norm of the summed, still scaled
 gradients, divided by the loss scale.
 A non-finite norm skips the step and backs the scaler off; otherwise one
 multiply unscales and clips the gradients to norm 1 and one Adam update
-runs at the scheduled rate.  The scaler is always there: with loss scaling
-off it is fixed at scale 1 and never grows or backs off.  Every step runs
+runs at the scheduled rate.  With loss scaling off the engine never steps
+the scaler, which stays at scale 1 with no good steps.  Every step runs
 one body, ``data_parallel_step`` (alias ``train_step``): ``objectives.loss``
 normalizes every one of ``n_shards`` shard losses (default one) over the
 full batch, and shard gradients are summed in fixed shard-index order.  One
@@ -292,10 +292,8 @@ class TrainEngine:
         self.cfg = engine_cfg
         self.optimizer = OptimizerState(params)
         self._grad_segments = {segment: self.optimizer.grad_flat[span] for segment, span in params.segments.items()}
-        # loss scaling off is a scale of 1 that never moves; float32 needs no more
-        self.scaler = (
-            LossScaler() if engine_cfg.use_loss_scaler else LossScaler(1.0, growth_factor=1.0, backoff_factor=1.0)
-        )
+        # loss scaling off is a scale of 1 that is never stepped; float32 needs no more
+        self.scaler = LossScaler() if engine_cfg.use_loss_scaler else LossScaler(1.0)
         self.step = 0
         self._workers: Optional[_ShardWorkers] = None
         self._workers_finalizer: Optional[weakref.finalize] = None
@@ -307,7 +305,8 @@ class TrainEngine:
         """
         _, norm = clip_global_norm(self._grad_segments, loss_scale=self.scaler.scale)
         skipped = not math.isfinite(norm)
-        loss_scaler_step(self.scaler, not skipped)
+        if self.cfg.use_loss_scaler:
+            loss_scaler_step(self.scaler, not skipped)
         lr = lr_at(self.cfg.schedule, self.step + 1)
         if not skipped:
             adam_step(self.params, self.optimizer, lr)
@@ -402,9 +401,10 @@ def load_engine_checkpoint(path: str) -> TrainEngine:
     ``m_flat`` and ``v_flat``, so the restore holds the parameters and each
     moment once.  The record must hold an engine config that
     ``EngineConfig`` accepts (bool flags, an integer seed), non-negative
-    int counters with ``optimizer_step <= step``, and a scaler that
-    ``LossScaler`` accepts; any other record is a ``ConfigError`` naming
-    ``path``.
+    int counters with ``optimizer_step <= step``, and a scaler record of
+    exactly the fields of ``LossScaler`` that it accepts; any other record,
+    such as one that still carries the growth and backoff factors, is a
+    one-line ``ConfigError`` naming ``path``.
     """
     params, model_cfg, extra = load_checkpoint(path, slots=("adam_m", "adam_v"))
     try:

@@ -33,7 +33,6 @@ import json
 import math
 import mmap
 import tokenize
-import warnings
 import zipfile
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -62,7 +61,7 @@ class InputError(ValueError):
 
 @dataclass
 class ModelConfig:
-    """One row of the reference model table."""
+    """One row of the reference model table: ``n_heads`` heads of width ``d_head`` split ``d_layer``."""
 
     family: str
     n_layers: int
@@ -89,15 +88,9 @@ class ModelConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
         if self.n_heads * self.d_head != self.d_layer:
-            warnings.warn(
-                f"n_heads * d_head = {self.n_heads * self.d_head} does not equal "
-                f"d_layer = {self.d_layer}; attention will use width {self.n_heads * self.d_head}",
-                stacklevel=2,
+            raise ConfigError(
+                f"n_heads * d_head = {self.n_heads} * {self.d_head} must equal d_layer = {self.d_layer}"
             )
-
-    @property
-    def d_attn(self) -> int:
-        return self.n_heads * self.d_head
 
     @property
     def d_mlp(self) -> int:
@@ -105,26 +98,26 @@ class ModelConfig:
 
 
 def _block_inventory(prefix: str, cfg: ModelConfig, cross: bool):
-    d, da, dm = cfg.d_layer, cfg.d_attn, cfg.d_mlp
+    d, dm = cfg.d_layer, cfg.d_mlp
     inv = [
         (f"{prefix}.ln1.gain", (d,), "ones"),
         (f"{prefix}.ln1.bias", (d,), "zeros"),
-        (f"{prefix}.attn.w_qkv", (d, 3 * da), "normal"),
-        (f"{prefix}.attn.b_qkv", (3 * da,), "zeros"),
-        (f"{prefix}.attn.w_out", (da, d), "residual"),
+        (f"{prefix}.attn.w_qkv", (d, 3 * d), "normal"),
+        (f"{prefix}.attn.b_qkv", (3 * d,), "zeros"),
+        (f"{prefix}.attn.w_out", (d, d), "residual"),
         (f"{prefix}.attn.b_out", (d,), "zeros"),
     ]
     if cross:
         inv += [
             (f"{prefix}.ln_cross.gain", (d,), "ones"),
             (f"{prefix}.ln_cross.bias", (d,), "zeros"),
-            (f"{prefix}.cross.w_q", (d, da), "normal"),
-            (f"{prefix}.cross.b_q", (da,), "zeros"),
-            (f"{prefix}.cross.w_k", (d, da), "normal"),
-            (f"{prefix}.cross.b_k", (da,), "zeros"),
-            (f"{prefix}.cross.w_v", (d, da), "normal"),
-            (f"{prefix}.cross.b_v", (da,), "zeros"),
-            (f"{prefix}.cross.w_out", (da, d), "residual"),
+            (f"{prefix}.cross.w_q", (d, d), "normal"),
+            (f"{prefix}.cross.b_q", (d,), "zeros"),
+            (f"{prefix}.cross.w_k", (d, d), "normal"),
+            (f"{prefix}.cross.b_k", (d,), "zeros"),
+            (f"{prefix}.cross.w_v", (d, d), "normal"),
+            (f"{prefix}.cross.b_v", (d,), "zeros"),
+            (f"{prefix}.cross.w_out", (d, d), "residual"),
             (f"{prefix}.cross.b_out", (d,), "zeros"),
         ]
     inv += [
@@ -347,9 +340,9 @@ def _block(x, p, prefix, cfg, mask, rng, layer, enc_out=None, enc_mask=None):
     """Self-attention, cross-attention to ``enc_out`` when given, then the
     MLP, each on a layer-normed input and added to the residual stream.
     Dropout slots: 0-1 self-attention, 2 MLP, 3-4 cross-attention."""
-    da = cfg.d_attn
+    d = cfg.d_layer
     qkv = _linear(_norm(x, p, f"{prefix}.ln1"), p, f"{prefix}.attn", "_qkv")
-    q, k, v = (_split_heads(T.narrow(qkv, 2, i * da, da), cfg) for i in range(3))
+    q, k, v = (_split_heads(T.narrow(qkv, 2, i * d, d), cfg) for i in range(3))
     x = T.add(x, _attention(q, k, v, p, f"{prefix}.attn", cfg, mask, rng, layer, 0))
     if enc_out is not None:
         h = _norm(x, p, f"{prefix}.ln_cross")

@@ -167,31 +167,31 @@ def adam_step(params: ModelParams, state: OptimizerState, lr: float) -> None:
                 p -= t
 
 
+# The mixed-precision recipe's loss-scale rule: grow by GROWTH_FACTOR after
+# GROWTH_INTERVAL consecutive good steps, back off by BACKOFF_FACTOR on an overflow.
+GROWTH_INTERVAL = 2000
+GROWTH_FACTOR = 2.0
+BACKOFF_FACTOR = 0.5
+
+
 @dataclass
 class LossScaler:
-    """Dynamic loss-scale state machine.
+    """Dynamic loss-scale state: the scale and the good steps since it last changed.
 
     A step with non-finite gradients is skipped, multiplies the scale by
-    ``backoff_factor`` and resets the good-step counter; after
-    ``growth_interval`` consecutive good steps the scale grows by
-    ``growth_factor``.  From a power-of-two start the default factors keep
-    every scale a power of two, so unscaling by it is exact unless the
-    unscaled value is subnormal.
+    ``BACKOFF_FACTOR`` and resets the good-step counter; after
+    ``GROWTH_INTERVAL`` consecutive good steps the scale grows by
+    ``GROWTH_FACTOR``.  Both factors are powers of two, so from a
+    power-of-two start every scale is one, and unscaling by it is exact
+    unless the unscaled value is subnormal.
     """
 
     scale: float = 2.0**16
-    growth_interval: int = 2000
-    growth_factor: float = 2.0
-    backoff_factor: float = 0.5
     consecutive_good_steps: int = 0
 
     def __post_init__(self):
-        for name, value in (("loss scale", self.scale), ("growth_factor", self.growth_factor),
-                            ("backoff_factor", self.backoff_factor)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (type(self.growth_interval) is int and self.growth_interval > 0):
-            raise ValueError(f"growth_interval must be a positive int, got {self.growth_interval!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"loss scale must be finite and positive, got {self.scale}")
         if not (type(self.consecutive_good_steps) is int and self.consecutive_good_steps >= 0):
             raise ValueError(f"consecutive_good_steps must be a non-negative int, got {self.consecutive_good_steps!r}")
 
@@ -203,10 +203,10 @@ def loss_scaler_step(scaler: LossScaler, finite: bool) -> None:
     non-finite norm on overflow) and skips the update itself.
     """
     if not finite:
-        scaler.scale *= scaler.backoff_factor
+        scaler.scale *= BACKOFF_FACTOR
         scaler.consecutive_good_steps = 0
         return
     scaler.consecutive_good_steps += 1
-    if scaler.consecutive_good_steps >= scaler.growth_interval:
-        scaler.scale *= scaler.growth_factor
+    if scaler.consecutive_good_steps >= GROWTH_INTERVAL:
+        scaler.scale *= GROWTH_FACTOR
         scaler.consecutive_good_steps = 0

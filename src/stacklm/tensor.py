@@ -575,8 +575,6 @@ def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     """
     global _ACTIVE_TAPE
     tape = _ACTIVE_TAPE
-    if tape is None:
-        return fn(x)
     _ACTIVE_TAPE = None
     try:
         primary = fn(x)

@@ -142,7 +142,7 @@ def test_save_load_round_trip(tmp_path, english_vocab):
     loaded = load_vocab(str(path))
     assert loaded.merges == english_vocab.merges
     assert loaded.alphabet == english_vocab.alphabet
-    assert loaded.sentinels == english_vocab.sentinels
+    assert path.read_text(encoding="utf-8").splitlines()[-6:] == ["specials 5", *_SPECIALS]
     text = "the happy cat sang"
     assert encode(text, loaded) == encode(text, english_vocab)
 
@@ -157,6 +157,30 @@ def test_symbol_not_in_its_one_spelling_names_file_and_line(tmp_path, english_vo
     lines[line] = spelling if section == "alphabet" else f"{spelling} x"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(TokenizerError, match="^" + re.escape(f"{path}:{line + 1}: ")):
+        load_vocab(str(path))
+
+
+# the last lines of every vocabulary file, after "specials 5"
+_SPECIALS = ["end_of_document <|eod|>", "mask <|mask|>", "pad <|pad|>", "unknown <|unk|>", "splitter <|split|>"]
+_SPECIALS_EDITS = {
+    "other-sentinel": lambda lines: lines[:-1] + ["splitter <|sep|>"],
+    "reordered": lambda lines: lines[:-5] + [_SPECIALS[1], _SPECIALS[0], *_SPECIALS[2:]],
+    "extra-special": lambda lines: lines[:-6] + ["specials 6", *_SPECIALS, "cls <|cls|>"],
+    "count": lambda lines: lines[:-6] + ["specials 05", *_SPECIALS],
+    "missing-special": lambda lines: lines[:-6] + ["specials 4", *_SPECIALS[:4]],
+    "trailing-line": lambda lines: lines + [""],
+}
+
+
+@pytest.mark.parametrize("edit", _SPECIALS_EDITS.values(), ids=_SPECIALS_EDITS.keys())
+def test_specials_other_than_the_saved_section_name_file_and_line(tmp_path, english_vocab, edit):
+    path = tmp_path / "vocab.txt"
+    save_vocab(english_vocab, str(path))
+    saved = path.read_text(encoding="utf-8").splitlines()
+    lines = edit(saved)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = next(i for i, (a, b) in enumerate(zip(lines + [None], saved + [None])) if a != b) + 1
+    with pytest.raises(TokenizerError, match="^" + re.escape(f"{path}:{line}: ")):
         load_vocab(str(path))
 
 
@@ -203,16 +227,9 @@ def test_round_trip_property(text):
 _PROPERTY_VOCAB = train_bpe(string.ascii_lowercase + " .,\n" + " the and cat dog" * 5, 300)
 
 
-# A non-ASCII sentinel puts multi-byte UTF-8 characters in the file, so that
-# a cut can also land inside a character.
-_SAVED_VOCAB = TokenizerVocab(
-    _PROPERTY_VOCAB.alphabet, _PROPERTY_VOCAB.merges, {**bpe.DEFAULT_SENTINELS, "splitter": "\u27e8split\u27e9"}
-)
-
-
 def _saved_vocab_bytes(tmp_path) -> bytes:
     path = tmp_path / "full.txt"
-    save_vocab(_SAVED_VOCAB, str(path))
+    save_vocab(_PROPERTY_VOCAB, str(path))
     return path.read_bytes()
 
 
@@ -236,7 +253,7 @@ def test_every_line_boundary_truncation_is_rejected(tmp_path):
         with pytest.raises(TokenizerError):
             load_vocab(str(path))
     path.write_bytes(raw)
-    assert load_vocab(str(path)).sentinels == _SAVED_VOCAB.sentinels
+    assert load_vocab(str(path)) == _PROPERTY_VOCAB
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -250,4 +267,6 @@ def test_garbled_vocab_loads_or_raises_tokenizer_error(tmp_path, data, junk):
         vocab = load_vocab(str(path))
     except TokenizerError:
         return
-    assert sorted(vocab.sentinels) == sorted(bpe.SPECIAL_NAMES)
+    # whatever loads saves again to a file that loads back the same vocabulary
+    save_vocab(vocab, str(path))
+    assert load_vocab(str(path)) == vocab

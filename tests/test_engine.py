@@ -27,7 +27,7 @@ from stacklm.engine import (
     train_loop,
 )
 from stacklm.model import ConfigError, ModelConfig, ModelParams, build_model, config_to_text, forward, load_checkpoint, save_checkpoint
-from stacklm.optim import TrainSchedule
+from stacklm.optim import GROWTH_INTERVAL, LossScaler, TrainSchedule
 from stacklm.tensor import DropoutRng, ShapeError, Tape
 from test_model import with_classifier
 
@@ -384,7 +384,7 @@ def shadow_parameter_deviations(family, seed):
             continue
         keep = np.ones(start.shape, dtype=bool)
         if name.endswith("attn.b_qkv"):
-            keep[cfg.d_attn : 2 * cfg.d_attn] = False
+            keep[cfg.d_layer : 2 * cfg.d_layer] = False
         moved32 = params32[name].data.astype(np.float64)[keep] - start[keep]
         moved64 = params64[name].data[keep] - start[keep]
         deviations[name] = float(np.linalg.norm(moved32 - moved64) / np.linalg.norm(moved64))
@@ -481,39 +481,43 @@ def test_nonfinite_gradient_skips_step_without_loss_scaler():
         for n, t in params.items():
             assert np.array_equal(t.data, before[n]), n
             assert not m[n].any() and not v[n].any(), n
-        assert engine.scaler.scale == 1.0
+        # the engine never steps a scaler that is off, on an overflow or otherwise
+        assert engine.scaler == LossScaler(1.0, 0)
         # the run carries on: the next finite step updates as usual
         metrics = engine.data_parallel_step(lm_batches()(engine.step), 1)
         assert not metrics.skipped and engine.optimizer.step == 1
         assert all(np.all(np.isfinite(t.data)) for _, t in params.items())
-    # without scaling the scale stays 1 past the scaler's growth interval:
-    # start from the state growth_interval - 1 good steps leave
-    engine.scaler.consecutive_good_steps = engine.scaler.growth_interval - 1
+        assert engine.scaler == LossScaler(1.0, 0)
+    # without scaling the scale stays 1 past the growth interval:
+    # start from the state GROWTH_INTERVAL - 1 good steps would leave
+    engine.scaler.consecutive_good_steps = GROWTH_INTERVAL - 1
     for _ in range(2):
         grads = {n: np.zeros_like(t.data) for n, t in params.items()}
         assert update_from(engine, grads, 0.0).loss_scale == 1.0
-    assert engine.scaler.consecutive_good_steps == 1
+    assert engine.scaler == LossScaler(1.0, GROWTH_INTERVAL - 1)
 
 
 def test_checkpoint_restores_bit_identical_continuation(tmp_path):
     batch_fn = lm_batches(seed=2)
-    _, params, engine = model_and_engine(seed=41)
-    train_loop(engine, batch_fn, n_steps=5)
-    path = str(tmp_path / "engine.npz")
-    save_engine_checkpoint(path, engine)
+    for scaler in (True, False):
+        _, params, engine = model_and_engine(seed=41, scaler=scaler)
+        train_loop(engine, batch_fn, n_steps=5)
+        path = str(tmp_path / f"engine-{scaler}.npz")
+        save_engine_checkpoint(path, engine)
 
-    cont = train_loop(engine, batch_fn, n_steps=5)
+        cont = train_loop(engine, batch_fn, n_steps=5)
 
-    restored = load_engine_checkpoint(path)
-    assert restored.step == 5
-    replay = train_loop(restored, batch_fn, n_steps=5)
+        restored = load_engine_checkpoint(path)
+        assert restored.step == 5
+        replay = train_loop(restored, batch_fn, n_steps=5)
 
-    assert [m.loss for m in cont] == [m.loss for m in replay]
-    for name, t in engine.params.items():
-        assert np.array_equal(t.data, restored.params[name].data), name
-    engine_m, restored_m = (e.params.views(e.optimizer.m_flat) for e in (engine, restored))
-    for name in engine_m:
-        assert np.array_equal(engine_m[name], restored_m[name])
+        assert [m.loss for m in cont] == [m.loss for m in replay]
+        assert restored.scaler == engine.scaler == (LossScaler(2.0**16, 10) if scaler else LossScaler(1.0, 0))
+        for name, t in engine.params.items():
+            assert np.array_equal(t.data, restored.params[name].data), name
+        engine_m, restored_m = (e.params.views(e.optimizer.m_flat) for e in (engine, restored))
+        for name in engine_m:
+            assert np.array_equal(engine_m[name], restored_m[name])
 
 
 def test_checkpoint_restores_moments_into_the_arena(tmp_path):
@@ -654,6 +658,25 @@ def test_engine_checkpoint_round_trips_non_default_config(tmp_path):
         restored_v, engine_v = (e.params.views(e.optimizer.v_flat) for e in (restored, engine))
         for name in engine.params.names():
             assert np.array_equal(restored_v[name], engine_v[name]), name
+
+
+def test_engine_record_with_the_scaler_factors_is_a_one_line_error(tmp_path):
+    _, _, engine = model_and_engine(seed=47)
+    path = str(tmp_path / "engine.npz")
+    save_engine_checkpoint(path, engine)
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+    assert meta["extra"]["scaler"] == {"scale": 2.0**16, "consecutive_good_steps": 0}
+    # the values these fields held before they became constants
+    for key, value in (("growth_interval", 2000), ("growth_factor", 2.0), ("backoff_factor", 0.5)):
+        scaler = dict(meta["extra"]["scaler"], **{key: value})
+        edited = dict(meta, extra=dict(meta["extra"], scaler=scaler))
+        edited_path = str(tmp_path / f"{key}.npz")
+        np.savez(edited_path, **dict(arrays, meta=np.frombuffer(json.dumps(edited).encode("utf-8"), dtype=np.uint8)))
+        with pytest.raises(ConfigError, match="^" + re.escape(edited_path) + ".*" + key) as caught:
+            load_engine_checkpoint(edited_path)
+        assert "\n" not in str(caught.value)
 
 
 def test_engine_checkpoint_is_a_model_checkpoint(tmp_path):

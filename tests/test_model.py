@@ -1,6 +1,5 @@
 import json
 import re
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -116,9 +115,13 @@ def test_odd_layers_rejected_for_encoder_decoder():
         tiny("encoder-decoder", n_layers=3)
 
 
-def test_head_width_mismatch_warns_not_raises():
-    with pytest.warns(UserWarning):
-        ModelConfig("decoder-only", 1, d_layer=10, n_heads=3, d_head=4, vocab_size=7, max_seq_len=4)
+def test_head_width_mismatch_is_a_config_error():
+    for n_heads, d_head in ((3, 4), (2, 4), (1, 5)):
+        with pytest.raises(ConfigError, match=re.escape(f"n_heads * d_head = {n_heads} * {d_head} must equal d_layer = 10")):
+            ModelConfig("decoder-only", 1, d_layer=10, n_heads=n_heads, d_head=d_head, vocab_size=7, max_seq_len=4)
+    with pytest.raises(ConfigError, match="^cfg.txt: n_heads"):
+        config_from_text("family = encoder-only\nn_layers = 1\nd_layer = 8\nn_heads = 2\nd_head = 8\nvocab_size = 9\n",
+                         "cfg.txt")
 
 
 def test_reference_row_builds():
@@ -410,9 +413,7 @@ _CONFIG_LINES = st.tuples(
 @given(st.one_of(st.text(max_size=80), st.lists(_CONFIG_LINES, max_size=10).map("\n".join)))
 def test_any_config_text_parses_or_raises_config_error(text):
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # mismatched head widths only warn
-            cfg = config_from_text(text)
+        cfg = config_from_text(text)
     except ConfigError:
         return
     assert isinstance(cfg, ModelConfig)
@@ -579,9 +580,7 @@ def test_garbled_meta_loads_or_raises_config_error(tmp_path, data, junk):
     path = tmp_path / "garbled.npz"
     _checkpoint_with_meta(path, raw[:start] + junk + raw[start + len(junk) :])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # mismatched head widths only warn
-            params, cfg, extra = load_checkpoint(str(path))
+        params, cfg, extra = load_checkpoint(str(path))
     except ConfigError:
         return
     assert isinstance(cfg, ModelConfig) and isinstance(extra, dict)

@@ -15,6 +15,7 @@ from stacklm.optim import (
     BERT_PRETRAIN_SCHEDULE,
     CHUNK,
     GPT_PRETRAIN_SCHEDULE,
+    GROWTH_INTERVAL,
     WEIGHT_DECAY,
     LossScaler,
     OptimizerState,
@@ -377,16 +378,16 @@ def test_decay_set_excludes_vectors_and_embeddings():
 
 
 def test_growth_after_interval():
-    scaler = LossScaler(scale=4.0, growth_interval=3, growth_factor=2.0)
+    scaler = LossScaler(scale=4.0, consecutive_good_steps=GROWTH_INTERVAL - 3)
     for _ in range(2):
         loss_scaler_step(scaler, True)
-    assert scaler.scale == 4.0 and scaler.consecutive_good_steps == 2
+    assert scaler.scale == 4.0 and scaler.consecutive_good_steps == GROWTH_INTERVAL - 1
     loss_scaler_step(scaler, True)
     assert scaler.scale == 8.0 and scaler.consecutive_good_steps == 0
 
 
 def test_overflow_backs_off_and_resets():
-    scaler = LossScaler(scale=16.0, growth_interval=10)
+    scaler = LossScaler(scale=16.0)
     loss_scaler_step(scaler, True)
     loss_scaler_step(scaler, False)
     assert scaler.scale == 8.0
@@ -409,10 +410,11 @@ def test_loss_scaler_rejects_a_scale_that_is_not_finite_and_positive():
 
 def test_scaler_state_machine_exhaustive():
     """Every overflow/no-overflow sequence of length <= 12 against a
-    independently coded reference transition table."""
+    independently coded reference transition table, from 3 good steps short
+    of growth."""
 
-    def reference(seq, scale0, interval):
-        scale, counter = scale0, 0
+    def reference(seq, scale0, counter0, interval):
+        scale, counter = scale0, counter0
         for overflow in seq:
             if overflow:
                 scale *= 0.5
@@ -430,9 +432,9 @@ def test_scaler_state_machine_exhaustive():
         else:
             sequences = list(itertools.product([0, 1], repeat=length))
         for seq in sequences:
-            scaler = LossScaler(scale=256.0, growth_interval=3)
+            scaler = LossScaler(scale=256.0, consecutive_good_steps=2000 - 3)
             for overflow in seq:
                 loss_scaler_step(scaler, not overflow)
-            expect_scale, expect_counter = reference(seq, 256.0, 3)
+            expect_scale, expect_counter = reference(seq, 256.0, 2000 - 3, 2000)
             assert scaler.scale == expect_scale, seq
             assert scaler.consecutive_good_steps == expect_counter, seq
