@@ -249,26 +249,30 @@ def make_mlm_batch(
 ) -> PackedSequenceBatch:
     """Masked-token batch with segment-order labels.
 
-    Segments are the two contiguous halves of each packed sequence; they
-    are swapped with probability one half before masking.  Segment markers
-    are 0 over a row's first segment and 1 over its second.  Pads are
-    special tokens, which masking neither corrupts nor creates: it alone
-    decides the loss weights, and the attention mask (1 = attendable)
-    hides the pads.
+    Segments are the two contiguous halves of each packed sequence's real
+    tokens (the first has ``n // 2`` of ``n``), with its pads after both;
+    they are swapped with probability one half before masking.  A row with
+    one real token has no second segment and keeps label 1.  Segment
+    markers are 0 over a row's first segment and 1 from its second on.
+    Pads are special tokens, which masking neither corrupts nor creates: it
+    alone decides the loss weights, and the attention mask (1 =
+    attendable) hides the pads.
     """
     ids = packed[0]
     rows = _rows_for_batch(ids.shape[0], batch_index, batch_size)
     seq_len = ids.shape[1]
-    half = seq_len // 2
     rngs = [np.random.default_rng((_MASK_DOMAIN, seed, batch_index, int(row))) for row in rows]
-    out_ids = np.empty((batch_size, seq_len), dtype=np.int64)
-    labels = np.empty(batch_size, dtype=np.int64)
+    out_ids = np.full((batch_size, seq_len), vocab.pad_id, dtype=np.int64)
+    labels = np.ones(batch_size, dtype=np.int64)
     type_ids = np.zeros((batch_size, seq_len), dtype=np.int64)
     for j, (row, rng) in enumerate(zip(rows, rngs)):
-        a, b, label = make_sop_example(ids[row, :half], ids[row, half:], rng)
-        out_ids[j] = np.concatenate([a, b])
+        real = ids[row][ids[row] != vocab.pad_id]
+        cut = max(1, len(real) // 2)
+        a, b = real[:cut], real[cut:]
+        if len(b):
+            a, b, labels[j] = make_sop_example(a, b, rng)
+        out_ids[j, : len(real)] = np.concatenate([a, b])
         type_ids[j, len(a):] = 1
-        labels[j] = label
     batch = PackedSequenceBatch(
         ids=out_ids,
         loss_mask=np.zeros((batch_size, seq_len)),

@@ -21,7 +21,9 @@ from stacklm.data import (
     read_documents,
     word_spans,
 )
+from stacklm.engine import EngineConfig, TrainEngine, train_loop
 from stacklm.model import ModelConfig, build_model, forward
+from stacklm.optim import TrainSchedule
 from stacklm.tensor import Tape, Tensor
 
 EOD, PAD = 0, 2  # matches the special layout of the tokenizer
@@ -411,6 +413,52 @@ def test_mlm_batch_masks_padding_out_of_attention(vocab):
         for ids in (batch.ids, changed)
     ]
     assert np.array_equal(outputs[0].logits.data[~pads], outputs[1].logits.data[~pads])
+
+
+def test_mlm_padded_row_splits_its_real_tokens_and_puts_pads_after_both(vocab):
+    # the last packed row holds 2 real tokens, 20 and the end of document, and 6 pads
+    docs = [[7, 8, 9, 10, 11, 12, 13], [7, 8, 9, 10, 11, 12, 13], [20]]
+    packed = pack_documents(docs, seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    labels = set()
+    for seed in range(20):
+        batch = make_mlm_batch(packed, 0, 3, MaskingPolicy(), vocab, seed=seed)
+        label = int(batch.labels[2])
+        labels.add(label)
+        # each segment holds one real token, and every pad comes after both
+        assert batch.targets[2].tolist() == ([20, vocab.eod_id] if label else [vocab.eod_id, 20]) + [vocab.pad_id] * 6
+        assert batch.type_ids[2].tolist() == [0] + [1] * 7
+        assert batch.attention_mask[2].tolist() == [1.0] * 2 + [0.0] * 6
+    assert labels == {0, 1}
+
+
+def test_mlm_rows_without_pads_keep_their_halves(vocab):
+    # the rule the padded-row change leaves as it was: halves of the row, swapped by the row's first draw
+    docs = [[7, 8, 9, 10, 11, 12, 13] for _ in range(6)]
+    packed = pack_documents(docs, seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    for seed in range(5):
+        batch = make_mlm_batch(packed, 1, 4, MaskingPolicy(), vocab, seed=seed)
+        rows = [np.random.default_rng((0xB0CA, seed, 1, int(row))) for row in batch.example_ids]
+        expected = PackedSequenceBatch(ids=np.empty((4, 8), dtype=np.int64), loss_mask=np.zeros((4, 8)),
+                                       example_ids=batch.example_ids, labels=np.empty(4, dtype=np.int64))
+        for j, (row, rng) in enumerate(zip(batch.example_ids, rows)):
+            a, b, expected.labels[j] = make_sop_example(packed[0][row, :4], packed[0][row, 4:], rng)
+            expected.ids[j] = np.concatenate([a, b])
+        apply_whole_word_ngram_mask(expected, MaskingPolicy(), vocab, rows)
+        for name in ("ids", "targets", "loss_mask", "labels"):
+            assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+
+
+def test_mlm_row_with_one_real_token_trains(vocab):
+    # 8 tokens and the end of document fill one row of 8 and leave the end of document alone in the last
+    packed = pack_documents([[7, 8, 9, 10, 11, 12, 13, 14]], seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
+    assert packed[0][-1].tolist() == [vocab.eod_id] + [vocab.pad_id] * 7
+    batch = make_mlm_batch(packed, 0, 2, MaskingPolicy(), vocab, seed=0)
+    assert batch.ids[1].tolist() == packed[0][-1].tolist() and batch.labels[1] == 1
+    assert batch.type_ids[1].tolist() == [0] + [1] * 7
+    cfg = ModelConfig("encoder-only", 1, 16, 2, 8, vocab_size=vocab.size, max_seq_len=8)
+    engine = TrainEngine(build_model(cfg, seed=0), cfg, EngineConfig(TrainSchedule(1e-3, 0.0, 0, 4)))
+    history = train_loop(engine, lambda k: make_mlm_batch(packed, k, 2, MaskingPolicy(), vocab, seed=0), 2)
+    assert all(np.isfinite(m.loss) and not m.skipped for m in history)
 
 
 def test_mlm_segment_markers_follow_the_swap_at_odd_length(vocab):
