@@ -46,6 +46,7 @@ from .cost import (
 )
 from .engine import (
     EngineConfig,
+    StepMetrics,
     TrainEngine,
     blas_threads,
     save_engine_checkpoint,
@@ -327,6 +328,14 @@ def cmd_eval(args, run: RunDirectory) -> int:
     return 0
 
 
+def _write_sweep_metrics(run: RunDirectory, histories: list[tuple[int, list[StepMetrics]]]) -> None:
+    """``metrics.jsonl``: each depth's fine-tune step records, in depth order, each with its ``depth``."""
+    with atomic_write(run.file("metrics.jsonl")) as fh:
+        for depth, history in histories:
+            for m in history:
+                fh.write(json.dumps({"depth": depth, **dataclasses.asdict(m)}) + "\n")
+
+
 def cmd_sweep(args, run: RunDirectory) -> int:
     fields = args.depths.split(",")
     if not all(field.strip().isdecimal() for field in fields):
@@ -361,12 +370,14 @@ def cmd_sweep(args, run: RunDirectory) -> int:
     except SweepError as exc:
         with atomic_write(run.file("sweep_partial.csv")) as fh:
             fh.write(render_sweep_csv(name, exc.partial))
+        _write_sweep_metrics(run, exc.histories)
         print(f"sweep aborted: {exc}", file=sys.stderr)
         print(f"partial results: {run.file('sweep_partial.csv')}", file=sys.stderr)
         return 1
     csv_text = render_sweep_csv(name, result.rows)
     with atomic_write(run.file("sweep.csv")) as fh:
         fh.write(csv_text)
+    _write_sweep_metrics(run, result.histories)
     print(csv_text, end="")
     print(f"best depth by dev accuracy (ties to smaller): {result.best_depth}")
     return 0

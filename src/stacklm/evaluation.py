@@ -325,17 +325,22 @@ def evaluate(
 
 
 class SweepError(RuntimeError):
-    """A depth failed; carries the rows finished before the failure."""
+    """A depth failed; carries the rows, and the fine-tune histories, of the depths finished before the failure."""
 
-    def __init__(self, message: str, partial: list[tuple[int, EvalMetrics]]):
+    def __init__(self, message: str, partial: list[tuple[int, EvalMetrics]],
+                 histories: list[tuple[int, list[StepMetrics]]]):
         super().__init__(message)
         self.partial = partial
+        self.histories = histories
 
 
 @dataclass
 class SweepResult:
+    """Each depth's dev metrics and fine-tune history, in the given depth order, and the chosen depth."""
+
     rows: list[tuple[int, EvalMetrics]]
     best_depth: int
+    histories: list[tuple[int, list[StepMetrics]]]
 
 
 def depth_sweep(
@@ -364,18 +369,20 @@ def depth_sweep(
     _check_finetune_inputs(base_cfg, vocab, train_set, head)
     _check_scored_labels(dev_set, train_set.label_vocab)
     rows: list[tuple[int, EvalMetrics]] = []
+    histories: list[tuple[int, list[StepMetrics]]] = []
     for depth, cfg in zip(depths, configs):
         try:
             model = finetune(build_model(cfg, seed=build_seed), cfg, vocab, train_set, head, settings)
             rows.append((depth, evaluate(model, vocab, dev_set)))
+            histories.append((depth, model.history))
             del model  # the next depth trains without this one's parameters
         except Exception as exc:
-            raise SweepError(f"depth {depth} failed: {exc}", rows) from exc
+            raise SweepError(f"depth {depth} failed: {exc}", rows, histories) from exc
     best_depth, _ = max(
         ((depth, metrics.accuracy) for depth, metrics in rows),
         key=lambda item: (item[1], -item[0]),
     )
-    return SweepResult(rows=rows, best_depth=best_depth)
+    return SweepResult(rows=rows, best_depth=best_depth, histories=histories)
 
 
 def render_sweep_csv(model_name: str, rows: list[tuple[int, EvalMetrics]]) -> str:

@@ -520,6 +520,10 @@ def test_sweep_bundled_task(tmp_path, capsys):
     assert lines[0] == "model,depth,precision,recall,f1,acc"
     assert len(lines) == 3
     assert "best depth" in capsys.readouterr().out
+    # one fine-tune step record per line, depth by depth
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [(r["depth"], r["step"]) for r in records] == [(d, k) for d in (1, 2) for k in range(4)]
+    assert all(set(r) == {"depth", "step", "loss", "lr", "grad_norm", "loss_scale", "skipped"} for r in records)
 
 
 def test_sweep_manifest_records_every_option(tmp_path):
@@ -550,6 +554,8 @@ def test_sweep_abort_dumps_partial_and_exits_nonzero(tmp_path, capsys, monkeypat
     partial = (out / "sweep_partial.csv").read_text().strip().splitlines()
     assert partial[0] == "model,depth,precision,recall,f1,acc"
     assert len(partial) == 2  # only depth 1 finished
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [(r["depth"], r["step"]) for r in records] == [(1, 0), (1, 1)]
 
 
 def test_out_root_env_variable(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,11 @@ def test_depth_sweep_selection_and_determinism(vocab):
     a = depth_sweep(base, [1, 2, 3], vocab, train, dev, sweep_settings())
     b = depth_sweep(base, [1, 2, 3], vocab, train, dev, sweep_settings())
     assert [(d, m.accuracy) for d, m in a.rows] == [(d, m.accuracy) for d, m in b.rows]
+    # each depth's fine-tune history, in depth order: the same run as a fine-tune at that depth alone
+    assert [d for d, _ in a.histories] == [1, 2, 3] and a.histories == b.histories
+    cfg = replace(base, n_layers=2)
+    alone = finetune(build_model(cfg, seed=0), cfg, vocab, train, "pair-classifier", sweep_settings())
+    assert a.histories[1][1] == alone.history and len(alone.history) == 8
     accs = {d: m.accuracy for d, m in a.rows}
     best = max(accs.values())
     assert a.best_depth == min(d for d, acc in accs.items() if acc == best)
@@ -419,6 +425,7 @@ def test_depth_sweep_failure_carries_partial_rows(vocab, monkeypatch):
         depth_sweep(base, [1, 3, 2], vocab, train, dev, sweep_settings())
     assert len(exc.value.partial) == 1
     assert exc.value.partial[0][0] == 1
+    assert [(d, len(history)) for d, history in exc.value.histories] == [(1, 8)]
 
 
 def test_sweep_csv_columns(vocab):

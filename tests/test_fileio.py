@@ -95,7 +95,7 @@ def test_partial_sweep_write_failing_midway_keeps_previous_file(tmp_path, monkey
     (out / "sweep_partial.csv").write_bytes(b"previous\n")
 
     def abort(*args, **kwargs):
-        raise SweepError("depth 2 failed: boom", [])
+        raise SweepError("depth 2 failed: boom", [], [])
 
     def render_fails(*args):
         raise OSError("disk full")
