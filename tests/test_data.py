@@ -432,18 +432,18 @@ def test_mlm_padded_row_splits_its_real_tokens_and_puts_pads_after_both(vocab):
 
 
 def test_mlm_rows_without_pads_keep_their_halves(vocab):
-    # the rule the padded-row change leaves as it was: halves of the row, swapped by the row's first draw
+    # a row without pads splits at its middle, swapped by its stream's first draw, then masked from the same stream
     docs = [[7, 8, 9, 10, 11, 12, 13] for _ in range(6)]
     packed = pack_documents(docs, seq_len=8, eod_id=vocab.eod_id, pad_id=vocab.pad_id)
     for seed in range(5):
         batch = make_mlm_batch(packed, 1, 4, MaskingPolicy(), vocab, seed=seed)
-        rows = [np.random.default_rng((0xB0CA, seed, 1, int(row))) for row in batch.example_ids]
+        rngs = [np.random.default_rng((0xB0CA, seed, 1, int(row))) for row in batch.example_ids]
         expected = PackedSequenceBatch(ids=np.empty((4, 8), dtype=np.int64), loss_mask=np.zeros((4, 8)),
                                        example_ids=batch.example_ids, labels=np.empty(4, dtype=np.int64))
-        for j, (row, rng) in enumerate(zip(batch.example_ids, rows)):
+        for j, (row, rng) in enumerate(zip(batch.example_ids, rngs)):
             a, b, expected.labels[j] = make_sop_example(packed[0][row, :4], packed[0][row, 4:], rng)
             expected.ids[j] = np.concatenate([a, b])
-        apply_whole_word_ngram_mask(expected, MaskingPolicy(), vocab, rows)
+        apply_whole_word_ngram_mask(expected, MaskingPolicy(), vocab, rngs)
         for name in ("ids", "targets", "loss_mask", "labels"):
             assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
 
